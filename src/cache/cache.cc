@@ -50,9 +50,6 @@ SetAssociativeCache::SetAssociativeCache(const LevelConfig& config)
     // packed `(lineAddr << 1) | 1` tag key can never collide or wrap.
     state.assign(static_cast<std::size_t>(numLines) * 2, 0);
     mruWay.assign(numSets, 0);
-    const simd::Kernels& kernels = simd::active();
-    findWayFn = kernels.findWay;
-    victimWayFn = kernels.victimWay;
 }
 
 Eviction
@@ -66,24 +63,7 @@ SetAssociativeCache::fill(Addr addr, bool dirty)
     // true-LRU way.  Ticks are unique, so the smallest packed meta
     // word is the smallest LRU tick (the dirty bit only breaks exact
     // ties, which cannot occur); ties in way order go low, as always.
-    // Wide sets use the dispatched kernel, same split as scanFor().
-    u32 way;
-    if (ways >= 8) {
-        way = victimWayFn(tag, meta, ways);
-    } else {
-        way = 0;
-        u64 best = ~0ull;
-        for (u32 w = 0; w < ways; ++w) {
-            if ((tag[w] & 1) == 0) {
-                way = w;
-                break;
-            }
-            if (meta[w] < best) {
-                best = meta[w];
-                way = w;
-            }
-        }
-    }
+    const u32 way = victimWay(tag, meta, ways);
     Eviction ev;
     if ((tag[way] & 1) != 0) {
         ev.valid = true;
@@ -112,7 +92,7 @@ SetAssociativeCache::probe(Addr addr) const
     const u64 set = lineAddr & setMask;
     const u64 key = (lineAddr << 1) | 1;
     const u64* tag = &state[set * ways * 2];
-    return scanFor(tag, key) != simd::kWayNotFound;
+    return findWay(tag, ways, key) != kWayNotFound;
 }
 
 double

@@ -14,24 +14,14 @@
  * walked.  Because the per-cache tick is unique, the smallest packed
  * meta word still selects the true LRU victim without unpacking.
  *
- * Wide sets (8 ways and up — the L2/L3 geometries, where misses
- * spend their time) scan through the runtime-dispatched set-scan
- * kernels of util/simd/simd.hh, which compare four tag words per
- * AVX2 instruction; narrow sets keep the inline walk, which beats an
- * indirect call at 2 ways.  The kernels return way indices with
- * pinned semantics (lowest match; first free way, else minimum
- * metadata with ties low), so which implementation runs is invisible
- * to the simulation — the same speed-knob contract as the rest of
- * the simd layer.
- *
  * lookup() is defined inline (and first probes the set's MRU way)
  * because it is the innermost operation of the simulation hot loop:
  * the hierarchy's batched access path inlines straight through it.
  * The MRU hint is purely an access-order accelerator — tags are
  * unique within a set, so probing the hinted way first finds the same
  * line a full scan would, and the LRU timestamp (`lastUse`) is bumped
- * exactly as before.  ReferenceCache (cache/reference.hh) keeps the
- * pre-fast-path implementation for equivalence tests and benchmarks.
+ * exactly as before.  The test suite keeps the pre-fast-path
+ * implementation (tests/reference.hh) as an equivalence oracle.
  */
 
 #ifndef XBSP_CACHE_CACHE_HH
@@ -40,11 +30,50 @@
 #include <string>
 #include <vector>
 
-#include "util/simd/simd.hh"
 #include "util/types.hh"
 
 namespace xbsp::cache
 {
+
+/** findWay result when no way of the set holds the key. */
+inline constexpr u32 kWayNotFound = ~0u;
+
+/**
+ * Lowest way w in [0, ways) with tags[w] == key, else kWayNotFound.
+ * `tags` are the packed tag words of one set; a valid tag has its
+ * low bit set, so a key (always odd) never matches a free way.
+ */
+inline u32
+findWay(const u64* tags, u32 ways, u64 key)
+{
+    for (u32 w = 0; w < ways; ++w) {
+        if (tags[w] == key)
+            return w;
+    }
+    return kWayNotFound;
+}
+
+/**
+ * Replacement victim of one set: the lowest way whose tag word has
+ * the valid bit clear, else the way with the unsigned-smallest
+ * packed metadata word, ties going to the lowest way.
+ */
+inline u32
+victimWay(const u64* tags, const u64* metas, u32 ways)
+{
+    u32 way = 0;
+    u64 best = ~0ull;
+    for (u32 w = 0; w < ways; ++w) {
+        if ((tags[w] & 1) == 0)
+            return w;
+        // Selects rather than a branch: which way is older is data-
+        // dependent, so a branch here mispredicts on every other way.
+        const bool older = metas[w] < best;
+        best = older ? metas[w] : best;
+        way = older ? w : way;
+    }
+    return way;
+}
 
 /** Geometry and timing of one cache level. */
 struct LevelConfig
@@ -96,8 +125,8 @@ class SetAssociativeCache
         }
         // The hinted way already failed, so it cannot match again;
         // rescanning it keeps the scan oblivious to the hint.
-        const u32 w = scanFor(tag, key);
-        if (w != simd::kWayNotFound) {
+        const u32 w = findWay(tag, ways, key);
+        if (w != kWayNotFound) {
             meta[w] = (tick << 1) |
                       ((meta[w] | static_cast<u64>(isWrite)) & 1);
             mruWay[set] = w;
@@ -123,8 +152,8 @@ class SetAssociativeCache
         const u64 key = (lineAddr << 1) | 1;
         u64* tag = &state[set * ways * 2];
         u64* meta = tag + ways;
-        const u32 w = scanFor(tag, key);
-        if (w != simd::kWayNotFound) {
+        const u32 w = findWay(tag, ways, key);
+        if (w != kWayNotFound) {
             ++accessCount;
             ++tick;
             meta[w] = (tick << 1) | 1;
@@ -173,24 +202,6 @@ class SetAssociativeCache
     void resetStats();
 
   private:
-    /**
-     * Way of `key` within one set's tag block, else kWayNotFound.
-     * Wide sets go through the dispatched vector kernel; narrow sets
-     * (the 2-way L1) inline the walk, which is cheaper than any
-     * call.  `ways` is fixed per cache, so the branch is free.
-     */
-    u32
-    scanFor(const u64* tag, u64 key) const
-    {
-        if (ways >= 8)
-            return findWayFn(tag, ways, key);
-        for (u32 w = 0; w < ways; ++w) {
-            if (tag[w] == key)
-                return w;
-        }
-        return simd::kWayNotFound;
-    }
-
     LevelConfig cfg;
     u32 ways = 0;       ///< cfg.associativity, hot copy
     u32 numSets = 0;
@@ -203,10 +214,6 @@ class SetAssociativeCache
      */
     std::vector<u64> state;
     std::vector<u32> mruWay;  ///< per-set most-recently-hit way hint
-    // Set-scan kernels, resolved from the simd dispatch once at
-    // construction (caches are built after --simd is applied).
-    u32 (*findWayFn)(const u64*, u32, u64) = nullptr;
-    u32 (*victimWayFn)(const u64*, const u64*, u32) = nullptr;
     u64 tick = 0;
     u64 accessCount = 0;
     u64 missCount = 0;

@@ -31,9 +31,8 @@
  *    run-ahead fetch time.
  *
  * Timing is a pure function of the event stream — deterministic at
- * any --jobs count and identical under both run loops — and all
- * counters are monotonic, so the snapshot collectors gate it exactly
- * like the in-order model.
+ * any --jobs count — and all counters are monotonic, so the snapshot
+ * collectors gate it exactly like the in-order model.
  */
 
 #ifndef XBSP_CPU_DECOUPLED_HH

@@ -8,8 +8,7 @@
 namespace xbsp::exec
 {
 
-Engine::Engine(const bin::Binary& binary, u64 seed, EngineMode mode)
-    : bin(binary), engineMode(mode)
+Engine::Engine(const bin::Binary& binary, u64 seed) : bin(binary)
 {
     states.resize(bin.blocks.size());
     u32 maxRefs = 0;
@@ -23,8 +22,6 @@ Engine::Engine(const bin::Binary& binary, u64 seed, EngineMode mode)
     }
     if (maxRefs > 0)
         refBuf = std::make_unique<mem::MemRef[]>(maxRefs);
-    if (engineMode == EngineMode::Compiled)
-        trace = compiledTraceFor(bin);
 }
 
 void

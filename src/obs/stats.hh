@@ -106,18 +106,6 @@ class Counter
         return cell ? cell->value.load(std::memory_order_relaxed) : 0;
     }
 
-    /**
-     * Overwrite the value.  For one-shot configuration facts (e.g.
-     * which kernel arch dispatch picked) — not for event counts,
-     * where concurrent set() would lose increments.
-     */
-    void
-    set(u64 n) const
-    {
-        if (cell)
-            cell->value.store(n, std::memory_order_relaxed);
-    }
-
   private:
     friend class StatRegistry;
     explicit Counter(detail::CounterData* data) : cell(data) {}

@@ -1,6 +1,9 @@
 #include "simpoint/io.hh"
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <sstream>
 
@@ -53,15 +56,23 @@ readBbvFile(std::istream& is, u32 dimensionHint)
                 fatal("bb file line {}: expected ':' at column {}",
                       lineNo, pos);
             ++pos;
+            // strtoul() would accept a sign or leading blanks (and
+            // negate "-1" into a huge index), so require a digit.
             char* end = nullptr;
-            const unsigned long idx =
-                std::strtoul(line.c_str() + pos, &end, 10);
-            if (!end || *end != ':' || idx == 0)
+            const bool digit =
+                pos < line.size() &&
+                std::isdigit(static_cast<unsigned char>(line[pos]));
+            const unsigned long long idx =
+                digit ? std::strtoull(line.c_str() + pos, &end, 10) : 0;
+            if (!digit || *end != ':' || idx == 0 ||
+                idx > std::numeric_limits<u32>::max())
                 fatal("bb file line {}: bad dimension index", lineNo);
             pos = static_cast<std::size_t>(end - line.c_str()) + 1;
             const double val = std::strtod(line.c_str() + pos, &end);
-            if (!end || end == line.c_str() + pos)
+            if (end == line.c_str() + pos)
                 fatal("bb file line {}: bad value", lineNo);
+            if (!std::isfinite(val))
+                fatal("bb file line {}: non-finite value", lineNo);
             pos = static_cast<std::size_t>(end - line.c_str());
             interval.vec.emplace_back(static_cast<u32>(idx - 1), val);
             maxIdx = std::max(maxIdx, static_cast<u32>(idx - 1));

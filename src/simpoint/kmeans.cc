@@ -6,7 +6,7 @@
 
 #include "obs/stats.hh"
 #include "util/logging.hh"
-#include "util/simd/simd.hh"
+#include "simpoint/kernels.hh"
 #include "util/threadpool.hh"
 
 namespace xbsp::sp
@@ -60,7 +60,6 @@ double
 assignLabels(const ProjectedData& data, const KMeansResult& res,
              std::vector<u32>& labels)
 {
-    const simd::Kernels& kern = simd::active();
     const std::size_t stride = data.rowStride();
     // One sample per E-step (not per point): deterministic at any
     // --jobs, and enough to see the batch shape in the stats dump.
@@ -76,10 +75,10 @@ assignLabels(const ProjectedData& data, const KMeansResult& res,
                 // All k distances in one batched call: the point row
                 // stays hot while the centroid matrix streams.  Each
                 // dist[c] is bit-for-bit sqDist(point, centroid c).
-                kern.sqDistBatch(data.row(i), res.centroids.data(),
-                                 res.k, stride,
-                                 res.rowStride(data.dims),
-                                 dist.data());
+                kernels::sqDistBatch(data.row(i), res.centroids.data(),
+                                     res.k, stride,
+                                     res.rowStride(data.dims),
+                                     dist.data());
                 double best = std::numeric_limits<double>::max();
                 u32 bestC = 0;
                 for (u32 c = 0; c < res.k; ++c) {
@@ -172,12 +171,11 @@ struct AccelState
 
     /** Centroids moved smoothly: shrink bounds by the worst move. */
     void
-    relax(const simd::AlignedVec& oldCentroids,
+    relax(const std::vector<double>& oldCentroids,
           const KMeansResult& res, u32 dims)
     {
         if (!boundsValid)
             return;
-        const simd::Kernels& kern = simd::active();
         const std::size_t cstride = res.rowStride(dims);
         double maxMove = 0.0;
         for (u32 c = 0; c < res.k; ++c) {
@@ -185,9 +183,9 @@ struct AccelState
                 oldCentroids.data() +
                 static_cast<std::size_t>(c) * cstride;
             maxMove = std::max(
-                maxMove, kern.sqDist(before,
-                                     res.centroidRow(c, dims),
-                                     cstride));
+                maxMove, kernels::sqDist(before,
+                                         res.centroidRow(c, dims),
+                                         cstride));
         }
         if (maxMove <= 0.0)
             return;
@@ -209,7 +207,6 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
                   std::vector<u32>& labels, AccelState& state)
 {
     const u32 k = res.k;
-    const simd::Kernels& kern = simd::active();
     const std::size_t stride = data.rowStride();
     const std::size_t cstride = res.rowStride(data.dims);
     // Half-distance from each centroid to its nearest neighbour.
@@ -218,9 +215,9 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
     std::vector<double> guard(k, std::numeric_limits<double>::max());
     for (u32 c = 0; c < k; ++c) {
         for (u32 c2 = c + 1; c2 < k; ++c2) {
-            const double d = kern.sqDist(res.centroidRow(c, data.dims),
-                                         res.centroidRow(c2, data.dims),
-                                         cstride);
+            const double d =
+                kernels::sqDist(res.centroidRow(c, data.dims),
+                                res.centroidRow(c2, data.dims), cstride);
             guard[c] = std::min(guard[c], d);
             guard[c2] = std::min(guard[c2], d);
         }
@@ -244,8 +241,8 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
                 const double* x = data.row(state.classFirst[u]);
                 const u32 a = state.ownerOf[u];
                 const double down =
-                    kern.sqDist(x, res.centroidRow(a, data.dims),
-                                stride);
+                    kernels::sqDist(x, res.centroidRow(a, data.dims),
+                                    stride);
                 distances.add();
                 if (std::sqrt(down) <
                     std::max(guard[a], state.lower[u])) {
@@ -258,8 +255,8 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
                 // Fallback: the naive scan, verbatim (same batched
                 // kernel over the same operands), plus second-best
                 // tracking to refresh the lower bound.
-                kern.sqDistBatch(x, res.centroids.data(), k, stride,
-                                 cstride, dist.data());
+                kernels::sqDistBatch(x, res.centroids.data(), k,
+                                     stride, cstride, dist.data());
                 double best = std::numeric_limits<double>::max();
                 double second = best;
                 u32 bestC = 0;
@@ -303,7 +300,6 @@ assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
 std::vector<u32>
 updateCentroids(const ProjectedData& data, KMeansResult& res)
 {
-    const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
     std::fill(res.centroids.begin(), res.centroids.end(), 0.0);
     std::fill(res.clusterWeight.begin(), res.clusterWeight.end(), 0.0);
@@ -315,7 +311,7 @@ updateCentroids(const ProjectedData& data, KMeansResult& res)
         double* crow = res.centroids.data() +
                        static_cast<std::size_t>(c) * cstride;
         const double w = data.weights[i];
-        kern.axpy(crow, data.row(i), w, data.rowStride());
+        kernels::axpy(crow, data.row(i), w, data.rowStride());
         res.clusterWeight[c] += w;
     }
     std::vector<u32> empty;
@@ -337,7 +333,6 @@ void
 reseedEmpty(const ProjectedData& data, KMeansResult& res,
             const std::vector<u32>& empty)
 {
-    const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
     for (u32 c : empty) {
         double worst = -1.0;
@@ -347,9 +342,9 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
             if (res.clusterWeight[owner] <= 0.0)
                 continue;
             const double d =
-                kern.sqDist(data.row(i),
-                            res.centroidRow(owner, data.dims),
-                            data.rowStride());
+                kernels::sqDist(data.row(i),
+                                res.centroidRow(owner, data.dims),
+                                data.rowStride());
             if (d > worst) {
                 worst = d;
                 worstIdx = i;
@@ -389,7 +384,6 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
         return probs.size() - 1;
     };
 
-    const simd::Kernels& kern = simd::active();
     const std::size_t cstride = res.rowStride(data.dims);
     std::size_t first = pickWeighted(data.weights);
     auto setCentroid = [&](u32 c, std::size_t i) {
@@ -410,9 +404,9 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
             const std::size_t rep =
                 accel ? accel->classFirst[u] : u;
             const double d =
-                kern.sqDist(data.row(rep),
-                            res.centroidRow(c - 1, data.dims),
-                            data.rowStride());
+                kernels::sqDist(data.row(rep),
+                                res.centroidRow(c - 1, data.dims),
+                                data.rowStride());
             minDist[u] = std::min(minDist[u], d);
         }
         for (std::size_t i = 0; i < data.count; ++i) {
@@ -480,7 +474,7 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
     };
 
     std::vector<u32> newLabels(data.count, 0);
-    simd::AlignedVec oldCentroids;
+    std::vector<double> oldCentroids;
     for (u32 iter = 0; iter < options.maxIterations; ++iter) {
         res.iterations = iter + 1;
         res.weightedSse = assign(newLabels);

@@ -51,7 +51,7 @@ struct KMeansResult
     u32 k = 0;
     std::vector<u32> labels;           ///< per point
     std::size_t stride = 0;            ///< doubles between centroid rows
-    simd::AlignedVec centroids;        ///< k x stride, row-major, padded
+    std::vector<double> centroids;     ///< k x stride, row-major, padded
     std::vector<double> clusterWeight; ///< sum of member weights
     double weightedSse = 0.0;          ///< sum w * dist^2
     u32 iterations = 0;

@@ -5,7 +5,6 @@
 #include "obs/stats.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
-#include "util/simd/simd.hh"
 #include "util/threadpool.hh"
 
 namespace xbsp::sp
@@ -14,7 +13,7 @@ namespace xbsp::sp
 double
 sqDist(std::span<const double> a, std::span<const double> b)
 {
-    return simd::active().sqDist(a.data(), b.data(), a.size());
+    return kernels::sqDist(a.data(), b.data(), a.size());
 }
 
 ProjectedData
@@ -34,7 +33,7 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed,
     // the projection — are independent of the padded layout.
     Rng rng(hashMix(seed ^ 0x9e3779b97f4a7c15ull));
     const std::size_t stride = out.rowStride();
-    simd::AlignedVec matrix(
+    std::vector<double> matrix(
         static_cast<std::size_t>(fvs.dimension) * stride, 0.0);
     for (std::size_t r = 0; r < fvs.dimension; ++r) {
         double* mrow = matrix.data() + r * stride;
@@ -43,18 +42,17 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed,
     }
 
     // One multiply-add per (sparse entry x output dim): the dot-op
-    // count of a row is nnz * dims regardless of layout, padding or
-    // kernel arch, so the counter merges exactly at any --jobs.
+    // count of a row is nnz * dims regardless of layout or padding,
+    // so the counter merges exactly at any --jobs.
     auto& reg = obs::StatRegistry::global();
     obs::Counter dotOps = reg.counter("projection.dotOps");
 
-    const simd::Kernels& kern = simd::active();
     auto projectRow = [&](std::size_t i, obs::ShardCounter& ops) {
         double* row = out.row(i);
         for (const auto& [idx, val] : fvs.vectors[i]) {
             const double* mrow =
                 matrix.data() + static_cast<std::size_t>(idx) * stride;
-            kern.axpy(row, mrow, val, stride);
+            kernels::axpy(row, mrow, val, stride);
         }
         ops.add(static_cast<u64>(fvs.vectors[i].size()) * dims);
     };

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "simpoint/fvec.hh"
-#include "util/simd/simd.hh"
+#include "simpoint/kernels.hh"
 #include "util/types.hh"
 
 namespace xbsp::sp
@@ -22,16 +22,16 @@ namespace xbsp::sp
 
 /**
  * Dense, row-major projected data plus per-point weights.  Rows are
- * padded with +0.0 to `stride = simd::padded(dims)` doubles and the
- * storage is 32-byte aligned, so the vector kernels run tail-free
- * over whole rows (padding is bit-transparent — see util/simd).
+ * padded with +0.0 to `stride = kernels::padded(dims)` doubles, so
+ * the kernels run tail-free over whole rows (padding is
+ * bit-transparent — see simpoint/kernels.hh).
  */
 struct ProjectedData
 {
     u32 dims = 0;
     std::size_t count = 0;
     std::size_t stride = 0;       ///< doubles between row starts
-    simd::AlignedVec points;      ///< count x stride, row-major
+    std::vector<double> points;   ///< count x stride, row-major
     std::vector<double> weights;  ///< per point; sums to count
 
     /**
@@ -53,7 +53,7 @@ struct ProjectedData
     {
         dims = d;
         count = n;
-        stride = simd::padded(d);
+        stride = kernels::padded(d);
         points.assign(n * stride, 0.0);
         weights.assign(n, 1.0);
     }
@@ -96,8 +96,7 @@ ProjectedData project(const FrequencyVectorSet& fvs, u32 dims,
 
 /**
  * Squared Euclidean distance between a row and a centroid, under the
- * pinned simd reduction order (dispatched kernel; bit-identical
- * across scalar/AVX2/NEON and any --jobs).
+ * pinned 4-lane reduction order of kernels::sqDist.
  */
 double sqDist(std::span<const double> a, std::span<const double> b);
 

@@ -1,11 +1,16 @@
 /**
  * @file
- * Unit tests for the set-associative LRU cache level.
+ * Unit tests for the set-associative LRU cache level and its set
+ * scans (lowest matching way; first free way, else the minimum
+ * metadata word with ties going to the lowest way).
  */
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "cache/cache.hh"
+#include "util/rng.hh"
 
 using namespace xbsp;
 using cache::LevelConfig;
@@ -26,6 +31,16 @@ Addr
 addrFor(u64 set, u64 tag)
 {
     return (tag * 4 + set) * 64; // 4 sets
+}
+
+/** Associativities from direct-mapped up to wide L3 sets. */
+const u32 kWays[] = {1, 2, 3, 4, 5, 7, 8, 11, 12, 15, 16, 20, 24};
+
+/** A unique valid (odd) tag word for way w. */
+u64
+tagFor(u32 w, u64 salt)
+{
+    return ((salt + w + 1) << 1) | 1;
 }
 
 } // namespace
@@ -212,4 +227,80 @@ TEST(Cache, PaperGeometriesConstruct)
     (void)SetAssociativeCache(LevelConfig{"L2D", 524288, 8, 64, 14});
     (void)SetAssociativeCache(LevelConfig{"L3D", 1048576, 16, 64, 35});
     SUCCEED();
+}
+
+TEST(Cache, FindWayMatchesAtEveryPosition)
+{
+    for (u32 ways : kWays) {
+        std::vector<u64> tags(ways);
+        for (u32 w = 0; w < ways; ++w)
+            tags[w] = tagFor(w, 0x1000);
+        // Present at each way, including tag values with the high
+        // bit set (addresses near the top of the space).
+        for (u32 target = 0; target < ways; ++target) {
+            EXPECT_EQ(cache::findWay(tags.data(), ways, tags[target]),
+                      target)
+                << "ways=" << ways;
+            tags[target] |= 1ull << 63;
+            EXPECT_EQ(cache::findWay(tags.data(), ways, tags[target]),
+                      target);
+            tags[target] = tagFor(target, 0x1000);
+        }
+        // Absent key, and a free way (0) never matching.
+        tags[ways / 2] = 0;
+        EXPECT_EQ(cache::findWay(tags.data(), ways, tagFor(77, 0x9999)),
+                  cache::kWayNotFound)
+            << "ways=" << ways;
+    }
+}
+
+TEST(Cache, VictimWayPrefersLowestFreeWay)
+{
+    for (u32 ways : kWays) {
+        std::vector<u64> tags(ways);
+        std::vector<u64> metas(ways);
+        for (u32 w = 0; w < ways; ++w) {
+            tags[w] = tagFor(w, 0x2000);
+            metas[w] = (static_cast<u64>(w + 10) << 1) | (w & 1);
+        }
+        for (u32 freeAt = 0; freeAt < ways; ++freeAt) {
+            tags[freeAt] = 0;
+            // A second free way above must lose to the lower one.
+            if (freeAt + 2 < ways)
+                tags[freeAt + 2] = 0;
+            EXPECT_EQ(cache::victimWay(tags.data(), metas.data(), ways),
+                      freeAt)
+                << "ways=" << ways;
+            for (u32 w = 0; w < ways; ++w)
+                tags[w] = tagFor(w, 0x2000);
+        }
+    }
+}
+
+TEST(Cache, VictimWayPicksUnsignedMinimumMetaTiesLow)
+{
+    Rng rng(20260808);
+    for (u32 ways : kWays) {
+        std::vector<u64> tags(ways);
+        for (u32 w = 0; w < ways; ++w)
+            tags[w] = tagFor(w, 0x3000);
+        std::vector<u64> metas(ways);
+        for (int round = 0; round < 200; ++round) {
+            // High-bit-heavy values exercise the unsigned ordering;
+            // small ranges force ties.
+            const u64 mask = (round % 3 == 0)   ? 0xfull
+                             : (round % 3 == 1) ? ~0ull
+                                                : (0xfull | (1ull << 63));
+            for (u32 w = 0; w < ways; ++w)
+                metas[w] = rng.next() & mask;
+            u32 expect = 0;
+            for (u32 w = 1; w < ways; ++w) {
+                if (metas[w] < metas[expect])
+                    expect = w;
+            }
+            EXPECT_EQ(cache::victimWay(tags.data(), metas.data(), ways),
+                      expect)
+                << "ways=" << ways << " round=" << round;
+        }
+    }
 }

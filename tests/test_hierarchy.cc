@@ -7,9 +7,9 @@
 #include <gtest/gtest.h>
 
 #include "cache/hierarchy.hh"
-#include "cache/reference.hh"
 #include "cpu/core.hh"
 #include "cpu/inorder.hh"
+#include "reference.hh"
 
 using namespace xbsp;
 using cache::Hierarchy;

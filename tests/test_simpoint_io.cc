@@ -86,6 +86,23 @@ TEST(SimPointIo, BadBbvLinesFatal)
     std::stringstream zeroIdx("T:0:2\n");
     EXPECT_EXIT((void)readBbvFile(zeroIdx),
                 ::testing::ExitedWithCode(1), "dimension index");
+    // Signed and out-of-u32 indices are rejected, not wrapped.
+    for (const char* text : {"T:-1:1\n", "T:+1:1\n", "T: 1:1\n",
+                             "T:4294967296:1\n",
+                             "T:4294967297:1\n",
+                             "T:99999999999999999999999:1\n"}) {
+        std::stringstream bad(text);
+        EXPECT_EXIT((void)readBbvFile(bad), ::testing::ExitedWithCode(1),
+                    "line 1: bad dimension index")
+            << text;
+    }
+    for (const char* text : {"T:1:nan\n", "T:1:inf\n", "T:1:-inf\n",
+                             "T:1:1e999\n"}) {
+        std::stringstream bad(text);
+        EXPECT_EXIT((void)readBbvFile(bad), ::testing::ExitedWithCode(1),
+                    "line 1: non-finite value")
+            << text;
+    }
 }
 
 TEST(SimPointIo, SimpointFilesRoundTrip)

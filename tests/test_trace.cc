@@ -11,6 +11,7 @@
 #include "exec/trace.hh"
 #include "profile/profile.hh"
 #include "test_support.hh"
+#include "workloads/workloads.hh"
 
 using namespace xbsp;
 
@@ -75,6 +76,33 @@ TEST(Trace, CaptureReplayEquivalence)
     EXPECT_EQ(replayed.refs, live.refs);
     EXPECT_EQ(replayed.writes, live.writes);
     EXPECT_TRUE(replayed.ended);
+}
+
+TEST(Trace, ReplayReproducesCaptureByteForByte)
+{
+    // Real workloads on two targets: replaying a captured stream
+    // (memory references included) through a fresh writer must
+    // serialize to the same bytes.
+    exec::TraceOptions options;
+    options.memRefs = true;
+    for (const char* name : {"gzip", "mcf", "equake"}) {
+        const ir::Program program =
+            workloads::makeWorkload(name, 0.05);
+        for (const bin::Target target :
+             {bin::target32u, bin::target64o}) {
+            const bin::Binary binary =
+                compile::compileProgram(program, target);
+            std::stringstream captured;
+            exec::captureTrace(binary, captured, options);
+            const std::string bytes = captured.str();
+
+            std::stringstream in(bytes), out;
+            exec::TraceWriter writer(out, options);
+            exec::replayTrace(in, {&writer});
+            ASSERT_EQ(out.str(), bytes)
+                << name << "/" << bin::targetName(target);
+        }
+    }
 }
 
 TEST(Trace, ReplayDrivesMarkerProfilerIdentically)

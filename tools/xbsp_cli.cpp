@@ -56,7 +56,6 @@
 #include "binary/binary.hh"
 #include "core/regionspec.hh"
 #include "cpu/core.hh"
-#include "exec/compiled.hh"
 #include "harness/experiments.hh"
 #include "obs/setup.hh"
 #include "pipeline/taskgraph.hh"
@@ -68,7 +67,6 @@
 #include "util/json.hh"
 #include "util/logging.hh"
 #include "util/options.hh"
-#include "util/simd/simd.hh"
 #include "util/threadpool.hh"
 #include "workloads/workloads.hh"
 
@@ -480,14 +478,6 @@ main(int argc, char** argv)
     options.addString("workloads",
                       "comma-separated workload subset for `report` "
                       "(empty = full suite) and `cores`", "");
-    options.addString("simd",
-                      "kernel dispatch: off|scalar|auto|on|avx2|neon "
-                      "(default: XBSP_SIMD, else best available; pure "
-                      "speed knob — results are bit-identical)", "");
-    options.addString("engine",
-                      "execution engine: interp|compiled (default: "
-                      "XBSP_ENGINE, else compiled; pure speed knob — "
-                      "results are bit-identical)", "");
     options.addString("core",
                       "timing core: inorder|decoupled (default: "
                       "XBSP_CORE, else inorder; a model knob — "
@@ -505,17 +495,8 @@ main(int argc, char** argv)
 
     options.applyJobs();
 
-    // Explicit --simd wins over the XBSP_SIMD environment variable
-    // (which the lazy first dispatch otherwise consults); likewise
-    // --engine over XBSP_ENGINE.
-    if (const std::string mode = options.getString("simd");
-        !mode.empty())
-        simd::select(mode);
-    if (const std::string mode = options.getString("engine");
-        !mode.empty())
-        exec::selectEngineMode(mode);
-    // --core wins over XBSP_CORE the same way; unlike the two above
-    // it changes results, so it must land before any stage runs.
+    // --core wins over the XBSP_CORE environment variable; it
+    // changes results, so it must land before any stage runs.
     if (const std::string mode = options.getString("core");
         !mode.empty() && !cpu::selectCore(mode))
         fatal("unknown --core '{}' (want inorder|decoupled)", mode);
