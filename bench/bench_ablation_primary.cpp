@@ -7,6 +7,7 @@
  */
 
 #include "bench_common.hh"
+#include "obs/setup.hh"
 
 using namespace xbsp;
 
@@ -18,6 +19,8 @@ main(int argc, char** argv)
         "on mappable SimPoint");
     if (!options.parse(argc, argv))
         return 0;
+    // Env-only observability (XBSP_STATS / XBSP_MANIFEST / ...).
+    obs::ObsSession obsSession;
     harness::ExperimentConfig base = bench::makeConfig(options);
     if (base.workloads.empty())
         base.workloads = {"gcc", "apsi", "swim", "mcf", "crafty"};

@@ -4,13 +4,34 @@ namespace xbsp::core
 {
 
 void
-encodeVliBuild(serial::Encoder& e, const VliBuild& build)
+encodePartition(serial::Encoder& e, const VliPartition& partition)
 {
-    e.varint(build.partition.boundaries.size());
-    for (const Boundary& b : build.partition.boundaries) {
+    e.varint(partition.boundaries.size());
+    for (const Boundary& b : partition.boundaries) {
         e.varint(b.pointIdx);
         e.varint(b.fireCount);
     }
+}
+
+VliPartition
+decodePartition(serial::Decoder& d)
+{
+    VliPartition partition;
+    const u64 boundaries = d.arrayCount(2);
+    partition.boundaries.reserve(static_cast<std::size_t>(boundaries));
+    for (u64 i = 0; i < boundaries; ++i) {
+        Boundary b;
+        b.pointIdx = static_cast<u32>(d.varint());
+        b.fireCount = d.varint();
+        partition.boundaries.push_back(b);
+    }
+    return partition;
+}
+
+void
+encodeVliBuild(serial::Encoder& e, const VliBuild& build)
+{
+    encodePartition(e, build.partition);
     sp::encodeFvs(e, build.intervals);
     e.varint(build.totalInstructions);
 }
@@ -19,15 +40,7 @@ VliBuild
 decodeVliBuild(serial::Decoder& d)
 {
     VliBuild build;
-    const u64 boundaries = d.arrayCount(2);
-    build.partition.boundaries.reserve(
-        static_cast<std::size_t>(boundaries));
-    for (u64 i = 0; i < boundaries; ++i) {
-        Boundary b;
-        b.pointIdx = static_cast<u32>(d.varint());
-        b.fireCount = d.varint();
-        build.partition.boundaries.push_back(b);
-    }
+    build.partition = decodePartition(d);
     build.intervals = sp::decodeFvs(d);
     build.totalInstructions = d.varint();
     return build;

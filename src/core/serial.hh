@@ -1,8 +1,9 @@
 /**
  * @file
- * Artifact-store codec for VLI builds plus content hashing of the
- * mappable-point set (which keys VLI construction and detailed runs:
- * the boundary lists only make sense relative to one exact matching).
+ * Artifact-store codecs for VLI builds and candidate partitions, plus
+ * content hashing of the mappable-point set (which keys VLI
+ * construction and detailed runs: the boundary lists only make sense
+ * relative to one exact matching).
  */
 
 #ifndef XBSP_CORE_SERIAL_HH
@@ -16,6 +17,8 @@
 namespace xbsp::core
 {
 
+void encodePartition(serial::Encoder& e, const VliPartition& partition);
+VliPartition decodePartition(serial::Decoder& d);
 void encodeVliBuild(serial::Encoder& e, const VliBuild& build);
 VliBuild decodeVliBuild(serial::Decoder& d);
 
@@ -46,6 +49,26 @@ struct VliBuildCodec
     decode(serial::Decoder& d)
     {
         return decodeVliBuild(d);
+    }
+};
+
+/** Artifact-store codec for mappedPartition results. */
+struct VliPartitionCodec
+{
+    using Value = VliPartition;
+    static constexpr u32 tag = serial::fourcc("VLIP");
+    static constexpr u32 version = 1;
+
+    static void
+    encode(serial::Encoder& e, const VliPartition& partition)
+    {
+        encodePartition(e, partition);
+    }
+
+    static VliPartition
+    decode(serial::Decoder& d)
+    {
+        return decodePartition(d);
     }
 };
 

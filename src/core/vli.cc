@@ -10,11 +10,9 @@
 namespace xbsp::core
 {
 
-VliBbvCollector::VliBbvCollector(const exec::Engine& eng,
-                                 const MappableSet& set,
-                                 std::size_t bIdx,
-                                 InstrCount targetSize)
-    : engine(eng), mappable(set), binaryIdx(bIdx), target(targetSize)
+VliCutter::VliCutter(const MappableSet& set, std::size_t bIdx,
+                     InstrCount targetSize)
+    : mappable(set), binaryIdx(bIdx), target(targetSize)
 {
     if (target == 0)
         fatal("VLI interval target must be > 0");
@@ -22,6 +20,35 @@ VliBbvCollector::VliBbvCollector(const exec::Engine& eng,
         fatal("binary index {} out of range ({} binaries)",
               binaryIdx, mappable.binaryCount);
     fireCounts.assign(mappable.points.size(), 0);
+}
+
+bool
+VliCutter::onMarker(u32 markerId, InstrCount now)
+{
+    const u32 pointIdx = mappable.pointFor(binaryIdx, markerId);
+    if (pointIdx == invalidId)
+        return false;
+    const u64 count = ++fireCounts[pointIdx];
+    if (now - intervalStart < target)
+        return false;
+    part.boundaries.push_back(Boundary{pointIdx, count});
+    intervalStart = now;
+    return true;
+}
+
+void
+VliCutter::finish(InstrCount now)
+{
+    if (now == intervalStart && !part.boundaries.empty())
+        part.boundaries.pop_back();
+}
+
+VliBbvCollector::VliBbvCollector(const exec::Engine& eng,
+                                 const MappableSet& set,
+                                 std::size_t bIdx,
+                                 InstrCount targetSize)
+    : engine(eng), cutter(set, bIdx, targetSize)
+{
     bbvDense.assign(eng.binary().blockCount(), 0.0);
     fvs.dimension = eng.binary().blockCount();
 }
@@ -52,15 +79,9 @@ VliBbvCollector::closeInterval(InstrCount now)
 void
 VliBbvCollector::onMarker(u32 markerId)
 {
-    const u32 pointIdx = mappable.pointFor(binaryIdx, markerId);
-    if (pointIdx == invalidId)
-        return;
-    const u64 count = ++fireCounts[pointIdx];
     const InstrCount now = engine.instructionsExecuted();
-    if (now - intervalStart >= target) {
-        part.boundaries.push_back(Boundary{pointIdx, count});
+    if (cutter.onMarker(markerId, now))
         closeInterval(now);
-    }
 }
 
 void
@@ -69,40 +90,49 @@ VliBbvCollector::onRunEnd()
     const InstrCount now = engine.instructionsExecuted();
     if (now > intervalStart)
         closeInterval(now);
-    if (fvs.size() != part.intervalCount()) {
-        // A boundary fired exactly at program end: the final interval
-        // is empty.  Drop the trailing boundary so intervals and
-        // boundaries stay consistent.
-        if (fvs.size() + 1 == part.intervalCount() &&
-            !part.boundaries.empty()) {
-            part.boundaries.pop_back();
-        } else {
-            panic("VLI collector inconsistency: {} intervals vs {} "
-                  "boundaries", fvs.size(), part.boundaries.size());
-        }
-    }
+    cutter.finish(now);
+    if (fvs.size() != partition().intervalCount())
+        panic("VLI collector inconsistency: {} intervals vs {} "
+              "boundaries", fvs.size(), partition().boundaries.size());
 }
 
 namespace
 {
+
 VliBuild buildVliPartitionUncached(const bin::Binary& primary,
                                    const MappableSet& mappable,
                                    std::size_t primaryIdx,
                                    InstrCount targetSize, u64 seed);
+
+VliPartition mappedPartitionUncached(const bin::Binary& binary,
+                                     const MappableSet& mappable,
+                                     std::size_t binaryIdx,
+                                     InstrCount targetSize, u64 seed);
+
+/** The key of one VLI pass; `kind` tells the artifact types apart. */
+serial::Hash128
+vliPassKey(const char* kind, const bin::Binary& binary,
+           const MappableSet& mappable, std::size_t binaryIdx,
+           InstrCount targetSize, u64 seed)
+{
+    serial::Hasher h;
+    h.str(kind);
+    bin::hashBinary(h, binary);
+    hashMappable(h, mappable);
+    h.u64v(binaryIdx);
+    h.u64v(targetSize);
+    h.u64v(seed);
+    return h.finish();
+}
+
 } // namespace
 
 serial::Hash128
 vliBuildKey(const bin::Binary& primary, const MappableSet& mappable,
             std::size_t primaryIdx, InstrCount targetSize, u64 seed)
 {
-    serial::Hasher h;
-    h.str("vli");
-    bin::hashBinary(h, primary);
-    hashMappable(h, mappable);
-    h.u64v(primaryIdx);
-    h.u64v(targetSize);
-    h.u64v(seed);
-    return h.finish();
+    return vliPassKey("vli", primary, mappable, primaryIdx, targetSize,
+                      seed);
 }
 
 VliBuild
@@ -117,6 +147,21 @@ buildVliPartition(const bin::Binary& primary,
                                              primaryIdx, targetSize,
                                              seed);
         });
+}
+
+VliPartition
+mappedPartition(const bin::Binary& binary, const MappableSet& mappable,
+                std::size_t binaryIdx, InstrCount targetSize, u64 seed)
+{
+    return store::ArtifactStore::global()
+        .getOrCompute<VliPartitionCodec>(
+            vliPassKey("vli.partition", binary, mappable, binaryIdx,
+                       targetSize, seed),
+            "partition", [&] {
+                return mappedPartitionUncached(binary, mappable,
+                                               binaryIdx, targetSize,
+                                               seed);
+            });
 }
 
 namespace
@@ -139,6 +184,40 @@ buildVliPartitionUncached(const bin::Binary& primary,
     build.intervals = collector.intervals();
     build.totalInstructions = engine.instructionsExecuted();
     return build;
+}
+
+/** Engine sink of the candidate pass: markers only, into a cutter. */
+struct CutterSink
+{
+    const exec::Engine& engine;
+    VliCutter& cutter;
+
+    bool wantsBlocks() const { return false; }
+    bool wantsMems() const { return false; }
+    bool wantsMarkers() const { return true; }
+    void onBlock(u32, u32) {}
+    void onMemRefs(std::span<const mem::MemRef>) {}
+    void onRunEnd() {}
+
+    void
+    onMarker(u32 markerId)
+    {
+        cutter.onMarker(markerId, engine.instructionsExecuted());
+    }
+};
+
+VliPartition
+mappedPartitionUncached(const bin::Binary& binary,
+                        const MappableSet& mappable,
+                        std::size_t binaryIdx, InstrCount targetSize,
+                        u64 seed)
+{
+    exec::Engine engine(binary, seed);
+    VliCutter cutter(mappable, binaryIdx, targetSize);
+    CutterSink sink{engine, cutter};
+    engine.runWith(sink);
+    cutter.finish(engine.instructionsExecuted());
+    return cutter.partition();
 }
 
 } // namespace

@@ -10,6 +10,11 @@
  * points fire the same number of times in the same semantic order in
  * every binary, the same boundary list identifies the same partition
  * of execution in all of them — that is the whole trick.
+ *
+ * Any binary of the set can be the primary.  mappedPartition() cuts
+ * the partition a binary would produce as primary with a marker-only
+ * pass (its *candidate* partition), so detailed runs can snapshot
+ * every candidate once and serve any primary from the same run.
  */
 
 #ifndef XBSP_CORE_VLI_HH
@@ -45,6 +50,45 @@ struct VliPartition
     {
         return boundaries.size() + 1;
     }
+
+    bool operator==(const VliPartition&) const = default;
+};
+
+/**
+ * The interval-closing rule, the one place it is written: count every
+ * mappable-point firing of one binary, and close the open interval at
+ * the first firing at least `target` instructions after it opened.
+ * Every VLI pass (the BBV build and the marker-only candidate pass)
+ * drives one of these.
+ */
+class VliCutter
+{
+  public:
+    VliCutter(const MappableSet& mappable, std::size_t binaryIdx,
+              InstrCount targetSize);
+
+    /**
+     * One firing of `markerId` with `now` instructions executed; true
+     * when it closes an interval (a boundary was appended).
+     */
+    bool onMarker(u32 markerId, InstrCount now);
+
+    /**
+     * The run ended at `now` instructions: a boundary that fell
+     * exactly on the end would leave an empty final interval, so it
+     * is dropped.
+     */
+    void finish(InstrCount now);
+
+    const VliPartition& partition() const { return part; }
+
+  private:
+    const MappableSet& mappable;
+    const std::size_t binaryIdx;
+    const InstrCount target;
+    std::vector<u64> fireCounts;  ///< per mappable point
+    VliPartition part;
+    InstrCount intervalStart = 0;
 };
 
 /**
@@ -66,18 +110,14 @@ class VliBbvCollector : public exec::Observer
     const sp::FrequencyVectorSet& intervals() const { return fvs; }
 
     /** The boundary list, mappable to every other binary. */
-    const VliPartition& partition() const { return part; }
+    const VliPartition& partition() const { return cutter.partition(); }
 
   private:
     const exec::Engine& engine;
-    const MappableSet& mappable;
-    const std::size_t binaryIdx;
-    const InstrCount target;
-    std::vector<u64> fireCounts;  ///< per mappable point
+    VliCutter cutter;
     std::vector<double> bbvDense;
     std::vector<u32> bbvTouched;
     sp::FrequencyVectorSet fvs;
-    VliPartition part;
     InstrCount intervalStart = 0;
 
     void closeInterval(InstrCount now);
@@ -109,6 +149,19 @@ serial::Hash128 vliBuildKey(const bin::Binary& primary,
                             std::size_t primaryIdx,
                             InstrCount targetSize,
                             u64 seed = 0x5EEDull);
+
+/**
+ * The partition `binary` (index `binaryIdx` of the set) would produce
+ * as primary, cut by a marker-only pass — equal to
+ * buildVliPartition(...).partition without the BBVs.  Memoized in the
+ * artifact store under its own stage ("partition"), keyed like
+ * vliBuildKey.
+ */
+VliPartition mappedPartition(const bin::Binary& binary,
+                             const MappableSet& mappable,
+                             std::size_t binaryIdx,
+                             InstrCount targetSize,
+                             u64 seed = 0x5EEDull);
 
 /**
  * Observer that replays a boundary list in *any* binary of the set

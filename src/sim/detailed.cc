@@ -22,6 +22,32 @@ namespace
 DetailedRunResult runDetailedUncached(const bin::Binary& binary,
                                       const DetailedRunRequest& req);
 
+/** The partitions `req` snapshots: its candidates, or its partition. */
+std::span<const core::VliPartition>
+candidatesOf(const DetailedRunRequest& req)
+{
+    if (!req.candidates.empty())
+        return req.candidates;
+    if (req.partition)
+        return {req.partition, 1};
+    return {};
+}
+
+/** Position of `req.partition` among the candidates; panics if absent. */
+std::size_t
+selectedCandidate(const DetailedRunRequest& req)
+{
+    const std::span<const core::VliPartition> candidates =
+        candidatesOf(req);
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
+        if (candidates[i] == *req.partition)
+            return i;
+    }
+    panic("detailed run: the VLI partition ({} intervals) is not among "
+          "the {} candidates", req.partition->intervalCount(),
+          candidates.size());
+}
+
 } // namespace
 
 serial::Hash128
@@ -38,7 +64,11 @@ detailedRunKey(const bin::Binary& binary,
     if (req.partition) {
         core::hashMappable(h, *req.mappable);
         h.u64v(req.binaryIdx);
-        core::hashPartition(h, *req.partition);
+        const std::span<const core::VliPartition> candidates =
+            candidatesOf(req);
+        h.u64v(candidates.size());
+        for (const core::VliPartition& candidate : candidates)
+            core::hashPartition(h, candidate);
     }
     hashHierarchy(h, req.memory);
     cpu::hashCoreConfig(h, req.core);
@@ -49,11 +79,22 @@ detailedRunKey(const bin::Binary& binary,
 DetailedRunResult
 runDetailed(const bin::Binary& binary, const DetailedRunRequest& req)
 {
-    return store::ArtifactStore::global()
-        .getOrCompute<DetailedRunCodec>(
-            detailedRunKey(binary, req), "detailed", [&] {
-                return runDetailedUncached(binary, req);
-            });
+    if (!req.partition && !req.candidates.empty())
+        panic("detailed run: VLI candidates without a partition");
+    const std::size_t selected =
+        req.partition ? selectedCandidate(req) : 0;
+    DetailedRunResult result =
+        store::ArtifactStore::global().getOrCompute<DetailedRunCodec>(
+            detailedRunKey(binary, req), "detailed",
+            [&] { return runDetailedUncached(binary, req); });
+    if (req.partition) {
+        if (selected >= result.candidateIntervals.size())
+            panic("detailed run holds {} candidate interval lists, "
+                  "expected {}", result.candidateIntervals.size(),
+                  candidatesOf(req).size());
+        result.vliIntervals = result.candidateIntervals[selected];
+    }
+    return result;
 }
 
 namespace
@@ -65,17 +106,17 @@ namespace
  * references and block events hit the core first, then the FLI
  * snapshotter (the "core is registered first" contract: snapshotters
  * read fully updated counters); markers go to the core (when its
- * model consumes them) before the VLI tracker; run-end order matches
- * the legacy registration (core has no run-end hook, then fli, then
- * vli).  Core and observer classes are final, so the whole hot path
- * devirtualizes per backend.
+ * model consumes them) before the VLI snapshotters, one per candidate
+ * partition; run-end order matches the legacy registration (core has
+ * no run-end hook, then fli, then the vli ones).  Core and observer
+ * classes are final, so the whole hot path devirtualizes per backend.
  */
 template <typename CoreT, bool HasFli, bool HasVli>
 struct DetailedSink
 {
     CoreT& core;
     FliSnapshotter* fli;
-    VliSnapshotter* vli;
+    std::span<const std::unique_ptr<VliSnapshotter>> vlis;
 
     bool wantsBlocks() const { return true; }
     bool wantsMems() const { return true; }
@@ -100,10 +141,12 @@ struct DetailedSink
     {
         if constexpr (CoreT::usesMarkers)
             core.onMarker(markerId);
-        if constexpr (HasVli)
-            vli->onMarker(markerId);
-        else if constexpr (!CoreT::usesMarkers)
+        if constexpr (HasVli) {
+            for (const std::unique_ptr<VliSnapshotter>& vli : vlis)
+                vli->onMarker(markerId);
+        } else if constexpr (!CoreT::usesMarkers) {
             (void)markerId;
+        }
     }
 
     void
@@ -111,17 +154,19 @@ struct DetailedSink
     {
         if constexpr (HasFli)
             fli->onRunEnd();
-        if constexpr (HasVli)
-            vli->onRunEnd();
+        if constexpr (HasVli) {
+            for (const std::unique_ptr<VliSnapshotter>& vli : vlis)
+                vli->onRunEnd();
+        }
     }
 };
 
 template <typename CoreT, bool HasFli, bool HasVli>
 void
-runDetailedWith(exec::Engine& engine, CoreT& core,
-                FliSnapshotter* fli, VliSnapshotter* vli)
+runDetailedWith(exec::Engine& engine, CoreT& core, FliSnapshotter* fli,
+                std::span<const std::unique_ptr<VliSnapshotter>> vlis)
 {
-    DetailedSink<CoreT, HasFli, HasVli> sink{core, fli, vli};
+    DetailedSink<CoreT, HasFli, HasVli> sink{core, fli, vlis};
     engine.runWith(sink);
 }
 
@@ -140,26 +185,21 @@ runDetailedOn(const bin::Binary& binary,
                                                req.fliBoundaries);
     }
 
-    std::unique_ptr<VliSnapshotter> vli;
-    if (req.partition) {
-        vli = std::make_unique<VliSnapshotter>(
-            engine, core, *req.mappable, req.binaryIdx,
-            *req.partition);
+    // Snapshotters capture `this`, so they live behind pointers.
+    std::vector<std::unique_ptr<VliSnapshotter>> vlis;
+    for (const core::VliPartition& candidate : candidatesOf(req)) {
+        vlis.push_back(std::make_unique<VliSnapshotter>(
+            engine, core, *req.mappable, req.binaryIdx, candidate));
     }
 
-    if (fli && vli) {
-        runDetailedWith<CoreT, true, true>(engine, core, fli.get(),
-                                           vli.get());
-    } else if (fli) {
-        runDetailedWith<CoreT, true, false>(engine, core, fli.get(),
-                                            nullptr);
-    } else if (vli) {
-        runDetailedWith<CoreT, false, true>(engine, core, nullptr,
-                                            vli.get());
-    } else {
-        runDetailedWith<CoreT, false, false>(engine, core, nullptr,
-                                             nullptr);
-    }
+    if (fli && !vlis.empty())
+        runDetailedWith<CoreT, true, true>(engine, core, fli.get(), vlis);
+    else if (fli)
+        runDetailedWith<CoreT, true, false>(engine, core, fli.get(), {});
+    else if (!vlis.empty())
+        runDetailedWith<CoreT, false, true>(engine, core, nullptr, vlis);
+    else
+        runDetailedWith<CoreT, false, false>(engine, core, nullptr, {});
     core.flushStats();
 
     DetailedRunResult result;
@@ -173,8 +213,8 @@ runDetailedOn(const bin::Binary& binary,
     result.memory.dramWritebacks = hierarchy.dramWritebacks();
     if (fli)
         result.fliIntervals = fli->intervals();
-    if (vli)
-        result.vliIntervals = vli->intervals();
+    for (const std::unique_ptr<VliSnapshotter>& vli : vlis)
+        result.candidateIntervals.push_back(vli->intervals());
     return result;
 }
 

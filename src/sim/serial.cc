@@ -57,7 +57,9 @@ encodeDetailedRun(serial::Encoder& e, const DetailedRunResult& r)
     e.varint(r.memory.dramAccesses);
     e.varint(r.memory.dramWritebacks);
     encodeIntervals(e, r.fliIntervals);
-    encodeIntervals(e, r.vliIntervals);
+    e.varint(r.candidateIntervals.size());
+    for (const auto& intervals : r.candidateIntervals)
+        encodeIntervals(e, intervals);
 }
 
 DetailedRunResult
@@ -72,7 +74,10 @@ decodeDetailedRun(serial::Decoder& d)
     r.memory.dramAccesses = d.varint();
     r.memory.dramWritebacks = d.varint();
     r.fliIntervals = decodeIntervals(d);
-    r.vliIntervals = decodeIntervals(d);
+    const u64 candidates = d.arrayCount(1);
+    r.candidateIntervals.reserve(static_cast<std::size_t>(candidates));
+    for (u64 i = 0; i < candidates; ++i)
+        r.candidateIntervals.push_back(decodeIntervals(d));
     return r;
 }
 

@@ -16,6 +16,10 @@
 namespace xbsp::sim
 {
 
+/**
+ * The stored form of a detailed run: everything but `vliIntervals`,
+ * which runDetailed selects from `candidateIntervals` per request.
+ */
 void encodeDetailedRun(serial::Encoder& e, const DetailedRunResult& r);
 DetailedRunResult decodeDetailedRun(serial::Decoder& d);
 
@@ -27,13 +31,15 @@ void hashHierarchy(serial::Hasher& h,
  * Artifact-store codec for runDetailed results.  Version 2: the
  * CoreStats payload grew the frontend counters (branches,
  * mispredicts, flushes, fetch bubbles) of the pluggable CPU-backend
- * layer; version-1 artifacts are simply recomputed.
+ * layer.  Version 3: one VLI interval list per candidate partition
+ * replaces the single selected list.  Older artifacts are simply
+ * recomputed.
  */
 struct DetailedRunCodec
 {
     using Value = DetailedRunResult;
     static constexpr u32 tag = serial::fourcc("DETR");
-    static constexpr u32 version = 2;
+    static constexpr u32 version = 3;
 
     static void
     encode(serial::Encoder& e, const DetailedRunResult& r)

@@ -7,7 +7,9 @@
  *  - FliSnapshotter cuts at recorded cumulative instruction counts
  *    (the per-binary fixed-length-interval boundaries);
  *  - VliSnapshotter cuts at mapped (mappable point, firing count)
- *    boundary events replayed by a core::BoundaryTracker.
+ *    boundary events replayed by a core::BoundaryTracker; a detailed
+ *    run attaches one per candidate partition, each with its own
+ *    tracker, so every partition is checked for semantic order.
  *
  * Because the cache hierarchy stays live across the whole run, the
  * per-interval statistics are exactly what warm (functionally-warmed)
@@ -41,6 +43,7 @@ struct IntervalStats
                             static_cast<double>(instrs)
                       : 0.0;
     }
+    bool operator==(const IntervalStats&) const = default;
 };
 
 /** Absolute (instr, cycle) snapshots -> per-interval deltas. */

@@ -81,13 +81,26 @@ StudyBuild::match()
 void
 StudyBuild::vliCluster()
 {
+    const StudyConfig& config = study.cfg;
     core::VliBuild vliBuild = core::buildVliPartition(
-        study.bins[study.cfg.primaryIdx], study.mappableSet,
-        study.cfg.primaryIdx, study.cfg.intervalTarget,
-        study.cfg.engineSeed);
-    study.vliPartition = vliBuild.partition;
+        study.bins[config.primaryIdx], study.mappableSet,
+        config.primaryIdx, config.intervalTarget, config.engineSeed);
+    if (config.detailed) {
+        // The detailed runs snapshot and are keyed on every binary's
+        // candidate partition, so any primary reuses the same runs.
+        for (std::size_t b = 0; b < study.bins.size(); ++b) {
+            study.candidatePartitions.push_back(core::mappedPartition(
+                study.bins[b], study.mappableSet, b,
+                config.intervalTarget, config.engineSeed));
+        }
+        if (study.candidatePartitions[config.primaryIdx] !=
+            vliBuild.partition)
+            panic("program '{}': the primary's VLI build and its "
+                  "candidate partition differ", prog.name);
+    }
+    study.vliPartition = std::move(vliBuild.partition);
     study.vliCluster = sp::pickSimulationPoints(vliBuild.intervals,
-                                                study.cfg.simpoint);
+                                                config.simpoint);
     obs::Progress::global().completeStep(
         format("study.{}.cluster", prog.name));
 }
@@ -96,10 +109,11 @@ void
 StudyBuild::binary(std::size_t b)
 {
     // Reads shared state (bins, mappableSet, vliPartition,
-    // vliCluster) const-only and writes only its own BinaryStudy
-    // slot, so the four binaries proceed independently.  The step is
-    // only counted complete on success: a throwing stage leaves the
-    // progress meter short and surfaces as a failed node instead.
+    // candidatePartitions, vliCluster) const-only and writes only its
+    // own BinaryStudy slot, so the four binaries proceed
+    // independently.  The step is only counted complete on success: a
+    // throwing stage leaves the progress meter short and surfaces as
+    // a failed node instead.
     const StudyConfig& config = study.cfg;
     BinaryStudy& bs = study.studies[b];
     bs.target = study.bins[b].target;
@@ -137,12 +151,8 @@ StudyBuild::binary(std::size_t b)
         return;
     }
 
-    DetailedRunRequest req = makeRunRequest(config);
-    req.fliBoundaries = bs.fliBoundaries;
-    req.mappable = &study.mappableSet;
-    req.binaryIdx = b;
-    req.partition = &study.vliPartition;
-    bs.detailedRun = runDetailed(study.bins[b], req);
+    bs.detailedRun =
+        runDetailed(study.bins[b], runRequest(b, bs.fliBoundaries));
 
     bs.fliEstimate = estimateSampled(bs.fliClustering,
                                      bs.detailedRun.fliIntervals);
@@ -211,14 +221,23 @@ StudyBuild::binaryCached(std::size_t b) const
                             study.cfg.simpoint),
             sp::SimPointCodec::tag, sp::SimPointCodec::version))
         return false;
+    return store.contains(
+        detailedRunKey(study.bins[b],
+                       runRequest(b, passes[b].fliBoundaries)),
+        DetailedRunCodec::tag, DetailedRunCodec::version);
+}
+
+DetailedRunRequest
+StudyBuild::runRequest(std::size_t b,
+                       const std::vector<InstrCount>& fliBoundaries) const
+{
     DetailedRunRequest req = makeRunRequest(study.cfg);
-    req.fliBoundaries = passes[b].fliBoundaries;
+    req.fliBoundaries = fliBoundaries;
     req.mappable = &study.mappableSet;
     req.binaryIdx = b;
     req.partition = &study.vliPartition;
-    return store.contains(detailedRunKey(study.bins[b], req),
-                          DetailedRunCodec::tag,
-                          DetailedRunCodec::version);
+    req.candidates = study.candidatePartitions;
+    return req;
 }
 
 std::string
@@ -266,12 +285,9 @@ StudyBuild::binaryKeyHex(std::size_t b) const
     if (!study.cfg.detailed || b >= study.bins.size() ||
         b >= study.studies.size())
         return {};
-    DetailedRunRequest req = makeRunRequest(study.cfg);
-    req.fliBoundaries = study.studies[b].fliBoundaries;
-    req.mappable = &study.mappableSet;
-    req.binaryIdx = b;
-    req.partition = &study.vliPartition;
-    return detailedRunKey(study.bins[b], req).hex();
+    return detailedRunKey(study.bins[b],
+                          runRequest(b, study.studies[b].fliBoundaries))
+        .hex();
 }
 
 std::string

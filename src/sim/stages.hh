@@ -23,6 +23,13 @@
  * probes (the *Cached() methods): when every artifact a stage would
  * compute is already on disk, the scheduler resolves the node inline
  * instead of occupying a worker slot (see taskgraph.hh).
+ *
+ * With detailed runs on, vliCluster also cuts every binary's
+ * candidate partition (the one it would produce as primary), and each
+ * binary stage keys its detailed run on all candidates rather than on
+ * the primary's partition.  A study that differs only in the primary
+ * therefore finds every detailed run in the store: only the primary's
+ * VLI build and its clustering are computed again.
  */
 
 #ifndef XBSP_SIM_STAGES_HH
@@ -89,6 +96,15 @@ class StudyBuild
     CrossBinaryStudy takeStudy();
 
   private:
+    /**
+     * Binary b's detailed-run request: the FLI boundaries given, the
+     * primary's partition selecting among every binary's candidate.
+     * binary(), binaryCached() and binaryKeyHex() all build it here.
+     */
+    DetailedRunRequest
+    runRequest(std::size_t b,
+               const std::vector<InstrCount>& fliBoundaries) const;
+
     ir::Program prog;
     std::size_t targets;
     std::vector<prof::ProfilePass> passes;

@@ -7,11 +7,14 @@
  *   2. profile each binary (marker counts + FLI basic-block vectors);
  *   3. match mappable points across all binaries (§3.2.1–3.2.2);
  *   4. build variable-length intervals on the primary binary
- *      (§3.2.3) and cluster them with SimPoint (§3.2.4–3.2.5);
+ *      (§3.2.3) and cluster them with SimPoint (§3.2.4–3.2.5); with
+ *      detailed simulation on, also cut every binary's candidate
+ *      partition (the one it would produce as primary);
  *   5. cluster each binary's own FLI vectors (the per-binary
  *      baseline, §2);
  *   6. run one detailed simulation per binary, collecting full-run
- *      truth plus per-interval statistics under both partitions;
+ *      truth plus per-interval statistics under the FLI partition
+ *      and every candidate VLI partition (the primary's is one);
  *   7. form sampled estimates with per-binary recalculated weights
  *      (§3.2.6) and expose the paper's error metrics.
  *
@@ -117,6 +120,17 @@ class CrossBinaryStudy
     const std::vector<bin::Binary>& binaries() const { return bins; }
     const core::MappableSet& mappable() const { return mappableSet; }
     const core::VliPartition& partition() const { return vliPartition; }
+
+    /**
+     * Each binary's candidate VLI partition, in binary order; the
+     * primary's equals partition().  Empty without detailed runs.
+     */
+    const std::vector<core::VliPartition>&
+    candidates() const
+    {
+        return candidatePartitions;
+    }
+
     const sp::SimPointResult& vliClustering() const { return vliCluster; }
     const std::vector<BinaryStudy>& perBinary() const { return studies; }
     const std::string& programName() const { return name; }
@@ -150,6 +164,7 @@ class CrossBinaryStudy
     std::vector<BinaryStudy> studies;
     core::MappableSet mappableSet;
     core::VliPartition vliPartition;
+    std::vector<core::VliPartition> candidatePartitions;
     sp::SimPointResult vliCluster;
 
     const BinaryEstimate& estimateOf(Method method,
@@ -182,8 +197,8 @@ std::vector<SpeedupPair> crossPlatformPairs(std::size_t binaryCount = 4);
  * The one place a DetailedRunRequest is derived from a StudyConfig:
  * memory, core and seed are copied here and nowhere else, so the
  * FLI, VLI and region-replay call sites cannot silently diverge.
- * Scheme fields (fliBoundaries / mappable / partition) start empty;
- * callers fill in the ones they need.
+ * Scheme fields (fliBoundaries / mappable / partition / candidates)
+ * start empty; callers fill in the ones they need.
  */
 DetailedRunRequest makeRunRequest(const StudyConfig& config);
 

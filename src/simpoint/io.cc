@@ -67,12 +67,17 @@ readBbvFile(std::istream& is, u32 dimensionHint)
             if (!digit || *end != ':' || idx == 0 ||
                 idx > std::numeric_limits<u32>::max())
                 fatal("bb file line {}: bad dimension index", lineNo);
+            if (idx > maxBbvDimension)
+                fatal("bb file line {}: dimension index {} is above the "
+                      "cap of {}", lineNo, idx, maxBbvDimension);
             pos = static_cast<std::size_t>(end - line.c_str()) + 1;
             const double val = std::strtod(line.c_str() + pos, &end);
             if (end == line.c_str() + pos)
                 fatal("bb file line {}: bad value", lineNo);
             if (!std::isfinite(val))
                 fatal("bb file line {}: non-finite value", lineNo);
+            if (val < 0.0)
+                fatal("bb file line {}: negative count", lineNo);
             pos = static_cast<std::size_t>(end - line.c_str());
             interval.vec.emplace_back(static_cast<u32>(idx - 1), val);
             maxIdx = std::max(maxIdx, static_cast<u32>(idx - 1));
@@ -81,12 +86,18 @@ readBbvFile(std::istream& is, u32 dimensionHint)
         // Merge duplicate dimension entries (SimPoint frequency
         // semantics: repeated ids on one line accumulate).
         SparseVec merged;
+        double total = 0.0;
         for (const auto& [idx, val] : interval.vec) {
             if (!merged.empty() && merged.back().first == idx)
                 merged.back().second += val;
             else
                 merged.emplace_back(idx, val);
+            total += val;
         }
+        // Counts are non-negative, so an overflowing merged entry
+        // overflows the total too.
+        if (!std::isfinite(total))
+            fatal("bb file line {}: line total is not finite", lineNo);
         interval.vec = std::move(merged);
         raw.push_back(std::move(interval));
     }

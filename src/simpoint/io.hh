@@ -35,11 +35,19 @@ namespace xbsp::sp
 void writeBbvFile(std::ostream& os, const FrequencyVectorSet& fvs);
 
 /**
+ * Largest dimension index a .bb file may use.  Clustering projects
+ * through a dense dimension x 16 matrix of doubles, so the cap bounds
+ * that matrix at 512 MiB.
+ */
+inline constexpr u32 maxBbvDimension = 1u << 22;
+
+/**
  * Parse a .bb file.  Indices are converted back to 0-based; the
  * dimension is the maximum index seen (or `dimensionHint` if
  * larger).  Lengths are initialised to 1 for every interval (fixed
  * length) unless later overwritten.
- * Calls fatal() on malformed input.
+ * Calls fatal() on malformed input: a bad or over-cap index, a
+ * negative or non-finite count, or a line whose total overflows.
  */
 FrequencyVectorSet readBbvFile(std::istream& is,
                                u32 dimensionHint = 0);

@@ -312,7 +312,8 @@ TEST(SerialCodec, DetailedRunRoundTrip)
     r.totals = {1000, 3500, 220};
     r.memory = {220, 180, 20, 15, 5, 2};
     r.fliIntervals = {{500, 1700}, {500, 1800}};
-    r.vliIntervals = {{999, 3499}, {1, 1}};
+    r.candidateIntervals = {{{999, 3499}, {1, 1}}, {{1000, 3500}}};
+    r.vliIntervals = r.candidateIntervals[0];  // selected, not stored
 
     serial::Encoder e;
     sim::encodeDetailedRun(e, r);
@@ -327,8 +328,8 @@ TEST(SerialCodec, DetailedRunRoundTrip)
     EXPECT_EQ(back.memory.dramWritebacks, r.memory.dramWritebacks);
     ASSERT_EQ(back.fliIntervals.size(), 2u);
     EXPECT_EQ(back.fliIntervals[1].cycles, 1800u);
-    ASSERT_EQ(back.vliIntervals.size(), 2u);
-    EXPECT_EQ(back.vliIntervals[0].instrs, 999u);
+    EXPECT_EQ(back.candidateIntervals, r.candidateIntervals);
+    EXPECT_TRUE(back.vliIntervals.empty());
 }
 
 TEST(SerialCodec, MalformedEnumRejected)

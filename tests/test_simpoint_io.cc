@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include "simpoint/io.hh"
+#include "util/format.hh"
 #include "util/rng.hh"
 
 using namespace xbsp;
@@ -103,6 +104,25 @@ TEST(SimPointIo, BadBbvLinesFatal)
                     "line 1: non-finite value")
             << text;
     }
+    // A valid u32 index above the cap would size a dense projection
+    // matrix of 2^32 rows; the cap itself is accepted.
+    std::stringstream huge("T:1:1\nT:4294967295:1\n");
+    EXPECT_EXIT((void)readBbvFile(huge), ::testing::ExitedWithCode(1),
+                "line 2: dimension index 4294967295 is above the cap");
+    std::stringstream atCap(format("T:{}:1\n", maxBbvDimension));
+    EXPECT_EQ(readBbvFile(atCap).dimension, maxBbvDimension);
+    // Finite entries whose sum overflows, merged or not.
+    for (const char* text : {"T:1:1e308 :1:1e308\n",
+                             "T:1:1e308 :2:1e308\n"}) {
+        std::stringstream bad(text);
+        EXPECT_EXIT((void)readBbvFile(bad), ::testing::ExitedWithCode(1),
+                    "line 1: line total is not finite")
+            << text;
+    }
+    // A BBV entry is an execution count.
+    std::stringstream negative("T:1:-5\n");
+    EXPECT_EXIT((void)readBbvFile(negative), ::testing::ExitedWithCode(1),
+                "line 1: negative count");
 }
 
 TEST(SimPointIo, SimpointFilesRoundTrip)

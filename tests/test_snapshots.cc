@@ -5,11 +5,45 @@
 
 #include <gtest/gtest.h>
 
+#include "core/vli.hh"
 #include "cpu/core.hh"
 #include "sim/detailed.hh"
 #include "test_support.hh"
 
 using namespace xbsp;
+
+namespace
+{
+
+/** tinyProgram's four binaries, their mappable set and candidates. */
+struct CandidateFixture
+{
+    std::vector<bin::Binary> binaries;
+    core::MappableSet set;
+    std::vector<core::VliPartition> candidates;
+
+    CandidateFixture()
+        : binaries(test::compileFour(test::tinyProgram())),
+          set(test::matchBinaries(binaries))
+    {
+        for (std::size_t b = 0; b < binaries.size(); ++b)
+            candidates.push_back(
+                core::mappedPartition(binaries[b], set, b, 5000));
+    }
+
+    /** A VLI request on binary `b` selecting candidate `selected`. */
+    sim::DetailedRunRequest
+    request(std::size_t b, std::size_t selected) const
+    {
+        sim::DetailedRunRequest request;
+        request.mappable = &set;
+        request.binaryIdx = b;
+        request.partition = &candidates[selected];
+        return request;
+    }
+};
+
+} // namespace
 
 TEST(SnapshotSeries, DeltasFromAbsoluteCuts)
 {
@@ -215,4 +249,46 @@ TEST(DetailedRun, UnoptimizedFasterPerInstructionButSlowerOverall)
     const auto opt = sim::runDetailed(bins[1], request);
     EXPECT_GT(unopt.totals.cycles, opt.totals.cycles);
     EXPECT_LT(unopt.totals.cpi(), opt.totals.cpi());
+}
+
+TEST(DetailedRun, CandidatePartitionsMatchSingleRuns)
+{
+    // One run snapshotting all four candidates returns, for each
+    // selected partition, exactly the intervals of a run over that
+    // partition alone — under the in-order core and under the
+    // decoupled core, which consumes markers before the trackers.
+    const CandidateFixture f;
+    ASSERT_NE(f.candidates[0], f.candidates[1]);
+    const std::size_t b = 1;
+    for (const cpu::CoreKind kind :
+         {cpu::CoreKind::InOrder, cpu::CoreKind::Decoupled}) {
+        for (std::size_t p = 0; p < f.candidates.size(); ++p) {
+            sim::DetailedRunRequest single = f.request(b, p);
+            single.core = cpu::coreConfigFor(kind);
+            sim::DetailedRunRequest all = single;
+            all.candidates = f.candidates;
+            const sim::DetailedRunResult one =
+                sim::runDetailed(f.binaries[b], single);
+            const sim::DetailedRunResult many =
+                sim::runDetailed(f.binaries[b], all);
+            ASSERT_EQ(many.candidateIntervals.size(), 4u);
+            EXPECT_EQ(many.vliIntervals, one.vliIntervals)
+                << cpu::coreKindName(kind) << " partition " << p;
+            EXPECT_EQ(many.candidateIntervals[p], one.vliIntervals);
+            EXPECT_EQ(many.vliIntervals.size(),
+                      f.candidates[p].intervalCount());
+            EXPECT_EQ(many.totals.cycles, one.totals.cycles);
+        }
+    }
+}
+
+TEST(DetailedRun, PartitionOutsideCandidatesPanics)
+{
+    const CandidateFixture f;
+    for (std::size_t p = 1; p < f.candidates.size(); ++p)
+        ASSERT_NE(f.candidates[0], f.candidates[p]);
+    sim::DetailedRunRequest request = f.request(0, 0);
+    request.candidates = std::span(f.candidates).subspan(1);
+    EXPECT_DEATH((void)sim::runDetailed(f.binaries[0], request),
+                 "not among the 3 candidates");
 }

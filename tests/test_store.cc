@@ -456,6 +456,31 @@ TEST_F(StoreTest, WarmStudyIsBitIdenticalToColdStudy)
     EXPECT_EQ(counterValue("store.misses"), missesAfterCold);
 }
 
+TEST_F(StoreTest, PrimarySweepReusesEveryDetailedRun)
+{
+    // Detailed runs are keyed on every binary's candidate partition,
+    // not on the primary's: a study at another primary finds all of
+    // them in a store warmed at primary 0 and still reports exactly
+    // what a store-off study at that primary reports.
+    sim::StudyConfig config = tinyStudyConfig();
+    config.primaryIdx = 2;
+    const std::string cold = studyFingerprint(
+        sim::CrossBinaryStudy::run(test::tinyProgram(), config));
+
+    store::ArtifactStore::configureGlobal({dir.string(), true});
+    (void)sim::CrossBinaryStudy::run(test::tinyProgram(),
+                                     tinyStudyConfig());
+    const u64 misses0 = counterValue("store.stage.detailed.misses");
+    const u64 hits0 = counterValue("store.stage.detailed.hits");
+    const std::string swept = studyFingerprint(
+        sim::CrossBinaryStudy::run(test::tinyProgram(), config));
+    store::ArtifactStore::configureGlobal({});
+
+    EXPECT_EQ(counterValue("store.stage.detailed.misses"), misses0);
+    EXPECT_EQ(counterValue("store.stage.detailed.hits"), hits0 + 4);
+    EXPECT_EQ(swept, cold);
+}
+
 TEST_F(StoreTest, InjectedCorruptionIsEvictedAndStudyStillIdentical)
 {
     store::ArtifactStore::configureGlobal({dir.string(), true});

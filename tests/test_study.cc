@@ -52,6 +52,22 @@ TEST(Study, VliIntervalCountIdenticalAcrossBinaries)
         EXPECT_EQ(bs.detailedRun.vliIntervals.size(), count);
 }
 
+TEST(Study, EveryBinaryCarriesEveryCandidate)
+{
+    // The primary's partition is one of the four candidates, and each
+    // detailed run holds an interval list for every candidate.
+    const auto study = runTiny();
+    ASSERT_EQ(study.candidates().size(), 4u);
+    EXPECT_EQ(study.candidates()[study.config().primaryIdx],
+              study.partition());
+    for (const auto& bs : study.perBinary()) {
+        ASSERT_EQ(bs.detailedRun.candidateIntervals.size(), 4u);
+        for (std::size_t c = 0; c < 4; ++c)
+            EXPECT_EQ(bs.detailedRun.candidateIntervals[c].size(),
+                      study.candidates()[c].intervalCount());
+    }
+}
+
 TEST(Study, IntervalStatsSumToTotals)
 {
     const auto study = runTiny();
@@ -142,6 +158,7 @@ TEST(Study, NonDetailedModeStillComputesStructure)
     const auto study =
         sim::CrossBinaryStudy::run(test::tinyProgram(), config);
     EXPECT_GT(study.partition().intervalCount(), 0u);
+    EXPECT_TRUE(study.candidates().empty());  // no detailed runs
     EXPECT_GT(study.avgSimPointCount(sim::Method::MappableVli), 0.0);
     EXPECT_GT(study.avgIntervalSize(sim::Method::MappableVli), 0.0);
     for (const auto& bs : study.perBinary()) {

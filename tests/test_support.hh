@@ -9,6 +9,7 @@
 #define XBSP_TESTS_TEST_SUPPORT_HH
 
 #include "compile/compiler.hh"
+#include "core/mappable.hh"
 #include "ir/builder.hh"
 #include "profile/profile.hh"
 
@@ -99,6 +100,22 @@ inline prof::MarkerProfile
 profileMarkers(const bin::Binary& binary)
 {
     return prof::runProfilePass(binary, 1u << 20).markers;
+}
+
+/** Mappable points of a binary set, matched on their marker profiles. */
+inline core::MappableSet
+matchBinaries(const std::vector<bin::Binary>& binaries)
+{
+    std::vector<prof::MarkerProfile> profiles;
+    for (const bin::Binary& binary : binaries)
+        profiles.push_back(profileMarkers(binary));
+    std::vector<const bin::Binary*> bins;
+    std::vector<const prof::MarkerProfile*> profs;
+    for (std::size_t i = 0; i < binaries.size(); ++i) {
+        bins.push_back(&binaries[i]);
+        profs.push_back(&profiles[i]);
+    }
+    return core::findMappablePoints(bins, profs);
 }
 
 /** Dynamic count of a (kind, symbol-or-line) marker group. */

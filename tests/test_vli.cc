@@ -18,7 +18,6 @@ namespace
 struct VliFixture
 {
     std::vector<bin::Binary> binaries;
-    std::vector<prof::MarkerProfile> profiles;
     core::MappableSet set;
     core::VliBuild build;
     InstrCount target;
@@ -30,15 +29,7 @@ makeSetup(const ir::Program& program, InstrCount target)
     VliFixture s;
     s.target = target;
     s.binaries = test::compileFour(program);
-    for (const auto& binary : s.binaries)
-        s.profiles.push_back(test::profileMarkers(binary));
-    std::vector<const bin::Binary*> bins;
-    std::vector<const prof::MarkerProfile*> profs;
-    for (std::size_t i = 0; i < s.binaries.size(); ++i) {
-        bins.push_back(&s.binaries[i]);
-        profs.push_back(&s.profiles[i]);
-    }
-    s.set = core::findMappablePoints(bins, profs);
+    s.set = test::matchBinaries(s.binaries);
     s.build =
         core::buildVliPartition(s.binaries[0], s.set, 0, target);
     return s;
@@ -149,6 +140,22 @@ TEST(Vli, PrimaryTrackerReproducesOwnPartition)
     for (std::size_t i = 0; i < cuts.size(); ++i) {
         cumulative += s.build.intervals.lengths[i];
         EXPECT_EQ(cuts[i], cumulative);
+    }
+}
+
+TEST(Vli, MappedPartitionMatchesBuildOnEveryBinary)
+{
+    // The marker-only candidate pass cuts exactly the partition the
+    // BBV build would cut with the same binary as primary.
+    const VliFixture s = makeSetup(test::trickyProgram(), 2000);
+    for (std::size_t b = 0; b < s.binaries.size(); ++b) {
+        const core::VliPartition candidate =
+            core::mappedPartition(s.binaries[b], s.set, b, s.target);
+        EXPECT_EQ(candidate, core::buildVliPartition(s.binaries[b], s.set,
+                                                     b, s.target)
+                                 .partition)
+            << s.binaries[b].displayName();
+        EXPECT_GT(candidate.boundaries.size(), 0u);
     }
 }
 
