@@ -18,12 +18,12 @@
 #include <fstream>
 #include <functional>
 
-#include "bench_clustering_common.hh"
 #include "bench_common.hh"
 #include "obs/manifest/manifest.hh"
 #include "obs/setup.hh"
 #include "obs/stats.hh"
 #include "store/store.hh"
+#include "util/json.hh"
 #include "util/logging.hh"
 #include "util/threadpool.hh"
 #include "workloads/workloads.hh"
@@ -96,23 +96,6 @@ main(int argc, char** argv)
         timed("table3", [&] { return suite.table3(); });
     timed("mappability", [&] { return suite.mappabilityReport(); });
 
-    // Clustering engine microbench (naive vs accelerated BIC sweep)
-    // on the first couple of suite workloads; the dedicated
-    // bench_micro_clustering binary measures the full case set.
-    std::vector<bench::ClusteringBenchResult> clustering;
-    timed("clustering", [&] {
-        sp::SimPointOptions base = config.study.simpoint;
-        for (std::size_t w = 0; w < names.size() && w < 2; ++w) {
-            bench::ClusteringCase bc;
-            bc.workload = names[w];
-            bc.scale = config.workScale;
-            bc.interval = 5000;
-            clustering.push_back(
-                bench::benchClusteringSweep(bc, base, 1));
-        }
-        return bench::clusteringTable(clustering);
-    });
-
     const double totalSeconds =
         std::chrono::duration<double>(clock::now() - suiteStart)
             .count();
@@ -140,8 +123,6 @@ main(int argc, char** argv)
         w.member("instructions_simulated", instructions);
         w.member("instructions_per_second",
                  static_cast<double>(instructions) / totalSeconds, 0);
-        w.key("clustering");
-        bench::writeClusteringCases(w, clustering);
         w.key("figures").beginArray();
         for (const FigureTiming& t : timings) {
             w.beginObject();
@@ -151,7 +132,7 @@ main(int argc, char** argv)
         }
         w.endArray();
         // Pipeline-wide observability counters (engine event totals,
-        // dedup class structure, Hamerly rates) for run-over-run
+        // dedup class structure, E-step distances) for run-over-run
         // comparison; exact at any job count.
         w.key("stats");
         obs::StatRegistry::global().writeJson(w, false);

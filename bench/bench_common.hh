@@ -35,10 +35,6 @@ makeOptions(const std::string& description)
                     250000);
     options.addUint("maxk", "SimPoint cluster cap", 10);
     options.addUint("seed", "SimPoint seed", 42);
-    options.addBool("accel",
-                    "accelerated clustering engine (dedup + Hamerly "
-                    "bounds + parallel sweep; exact either way)",
-                    true);
     options.addBool("csv", "also emit CSV after the table", false);
     options.addBool("verbose", "per-study progress on stderr", true);
     options.addString("core",
@@ -84,7 +80,6 @@ makeConfig(const Options& options)
     config.study.simpoint.maxK =
         static_cast<u32>(options.getUint("maxk"));
     config.study.simpoint.seed = options.getUint("seed");
-    config.study.simpoint.accelerate = options.getBool("accel");
     config.verbose = options.getBool("verbose");
     return config;
 }

@@ -27,11 +27,6 @@ defaultStudyConfig()
     config.simpoint.projectedDims = 15;
     config.simpoint.seedsPerK = 5;
     config.simpoint.bicThreshold = 0.9;
-    // Accelerated clustering (dedup + Hamerly bounds + parallel
-    // sweep) is exact — see DESIGN.md "Clustering acceleration" —
-    // so experiments keep it on; --no-accel restores the naive
-    // engine for cross-checking.
-    config.simpoint.accelerate = true;
     config.primaryIdx = 0;            // 32-bit unoptimized
     // The timing backend honours --core / XBSP_CORE; the default
     // (in-order) keeps every pre-existing report byte-identical.

@@ -1,6 +1,5 @@
 #include "simpoint/fvec.hh"
 
-#include <cmath>
 #include <cstring>
 #include <unordered_map>
 
@@ -24,44 +23,33 @@ bits(double value)
     return out;
 }
 
-/** Value a vector entry is compared under: raw bits or quantized. */
-u64
-entryKey(double value, double quantum)
-{
-    if (quantum <= 0.0)
-        return bits(value);
-    return static_cast<u64>(std::llround(value / quantum));
-}
-
 /**
- * Pinned 128-bit digest of a sparse vector's quantized form (the
- * frozen util/serial hash, aligned-word fast path).  Probes compare
- * digests first, and only a full-digest match falls through to the
- * verifying element comparison.
+ * Pinned 128-bit digest of a sparse vector (the frozen util/serial
+ * hash, aligned-word fast path).  Probes compare digests first, and
+ * only a full-digest match falls through to the verifying element
+ * comparison.
  */
 serial::Hash128
-vectorDigest(const SparseVec& vec, double quantum)
+vectorDigest(const SparseVec& vec)
 {
     serial::Hasher h;
     h.u64w(vec.size());
     for (const auto& [idx, val] : vec) {
         h.u64w(idx);
-        h.u64w(entryKey(val, quantum));
+        h.u64w(bits(val));
     }
     return h.finish();
 }
 
-/** Exact equality of two sparse vectors under `quantum`. */
+/** Bitwise equality of two sparse vectors. */
 bool
-vectorsEqual(const SparseVec& a, const SparseVec& b, double quantum)
+vectorsEqual(const SparseVec& a, const SparseVec& b)
 {
     if (a.size() != b.size())
         return false;
     for (std::size_t i = 0; i < a.size(); ++i) {
-        if (a[i].first != b[i].first)
-            return false;
-        if (entryKey(a[i].second, quantum) !=
-            entryKey(b[i].second, quantum))
+        if (a[i].first != b[i].first ||
+            bits(a[i].second) != bits(b[i].second))
             return false;
     }
     return true;
@@ -110,7 +98,7 @@ FrequencyVectorSet::normalize()
 }
 
 DedupMap
-FrequencyVectorSet::dedup(double quantum) const
+FrequencyVectorSet::dedup() const
 {
     auto& reg = obs::StatRegistry::global();
     obs::ScopedTimer buildTimer(reg.timer("dedup.build"));
@@ -131,11 +119,11 @@ FrequencyVectorSet::dedup(double quantum) const
     std::vector<unsigned char> sameAsPrev(vectors.size(), 0);
     parallelFor(globalPool(), vectors.size(), [&](std::size_t i) {
         if (i > 0 &&
-            vectorsEqual(vectors[i], vectors[i - 1], quantum)) {
+            vectorsEqual(vectors[i], vectors[i - 1])) {
             sameAsPrev[i] = 1;
             return;
         }
-        digests[i] = vectorDigest(vectors[i], quantum);
+        digests[i] = vectorDigest(vectors[i]);
     });
 
     // Phase 2, serial in row order (class ids must be assigned in
@@ -143,8 +131,8 @@ FrequencyVectorSet::dedup(double quantum) const
     // class; run heads probe a flat pre-reserved map keyed on the
     // low digest word.  A candidate matches only on the full 128-bit
     // digest AND the verifying element comparison, so two intervals
-    // share a class only when their vectors really are equal under
-    // the quantum — even across digest collisions.  (A run member
+    // share a class only when their vectors really are bitwise
+    // equal — even across digest collisions.  (A run member
     // can never be a class representative, so every firstOf row has
     // a computed digest.)
     std::unordered_map<u64, std::vector<u32>> buckets;
@@ -160,7 +148,7 @@ FrequencyVectorSet::dedup(double quantum) const
             for (u32 candidate : bucket) {
                 const u32 rep = map.firstOf[candidate];
                 if (digests[rep] == digests[i] &&
-                    vectorsEqual(vectors[i], vectors[rep], quantum)) {
+                    vectorsEqual(vectors[i], vectors[rep])) {
                     cls = candidate;
                     break;
                 }
@@ -168,11 +156,9 @@ FrequencyVectorSet::dedup(double quantum) const
             if (cls == fresh) {
                 bucket.push_back(cls);
                 map.firstOf.push_back(static_cast<u32>(i));
-                map.classLength.push_back(0);
             }
         }
         map.classOf[i] = cls;
-        map.classLength[cls] += lengths[i];
     }
 
     reg.counter("dedup.calls").add();

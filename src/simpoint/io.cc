@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cerrno>
 #include <cmath>
 #include <limits>
-#include <map>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -120,9 +120,34 @@ void
 readLengthsFile(std::istream& is, FrequencyVectorSet& fvs)
 {
     std::vector<InstrCount> lengths;
-    u64 value = 0;
-    while (is >> value)
-        lengths.push_back(value);
+    InstrCount total = 0;
+    std::string line;
+    std::size_t lineNo = 0;
+    while (std::getline(is, line)) {
+        ++lineNo;
+        std::istringstream tokens(line);
+        std::string token;
+        while (tokens >> token) {
+            // strtoull() would accept a sign (and wrap "-5" into a
+            // huge length), so require digits only.
+            const bool digits = std::all_of(
+                token.begin(), token.end(), [](unsigned char c) {
+                    return std::isdigit(c) != 0;
+                });
+            errno = 0;
+            const unsigned long long value =
+                digits ? std::strtoull(token.c_str(), nullptr, 10) : 0;
+            if (!digits || errno == ERANGE)
+                fatal("lengths file line {}: bad length '{}'", lineNo,
+                      token);
+            // Phase weights divide by the total, so it must fit.
+            if (value > std::numeric_limits<InstrCount>::max() - total)
+                fatal("lengths file line {}: total length overflows",
+                      lineNo);
+            total += value;
+            lengths.push_back(value);
+        }
+    }
     if (lengths.size() != fvs.size())
         fatal("lengths file has {} entries for {} intervals",
               lengths.size(), fvs.size());
@@ -148,62 +173,6 @@ writeLabelsFile(std::ostream& os, const SimPointResult& result)
 {
     for (u32 label : result.labels)
         os << label << "\n";
-}
-
-SimPointResult
-readSimPointFiles(std::istream& simpoints, std::istream& weights,
-                  std::istream& labels)
-{
-    SimPointResult result;
-
-    std::map<u32, u32> reps;
-    u64 rep = 0, id = 0;
-    while (simpoints >> rep >> id)
-        reps[static_cast<u32>(id)] = static_cast<u32>(rep);
-
-    std::map<u32, double> weightOf;
-    double w = 0.0;
-    while (weights >> w >> id)
-        weightOf[static_cast<u32>(id)] = w;
-
-    if (reps.size() != weightOf.size())
-        fatal("simpoints file has {} phases but weights file has {}",
-              reps.size(), weightOf.size());
-
-    u32 label = 0;
-    while (labels >> label)
-        result.labels.push_back(label);
-    if (result.labels.empty())
-        fatal("labels file is empty");
-
-    u32 maxLabel = 0;
-    for (u32 l : result.labels)
-        maxLabel = std::max(maxLabel, l);
-    result.k = maxLabel + 1;
-
-    for (const auto& [phaseId, repIdx] : reps) {
-        Phase phase;
-        phase.id = phaseId;
-        phase.representative = repIdx;
-        auto wit = weightOf.find(phaseId);
-        if (wit == weightOf.end())
-            fatal("phase {} missing from weights file", phaseId);
-        phase.weight = wit->second;
-        for (u32 i = 0; i < result.labels.size(); ++i) {
-            if (result.labels[i] == phaseId)
-                phase.members.push_back(i);
-        }
-        if (phase.members.empty())
-            fatal("phase {} has a simulation point but no intervals",
-                  phaseId);
-        if (repIdx >= result.labels.size() ||
-            result.labels[repIdx] != phaseId) {
-            fatal("phase {}: representative {} does not carry the "
-                  "phase's label", phaseId, repIdx);
-        }
-        result.phases.push_back(std::move(phase));
-    }
-    return result;
 }
 
 } // namespace xbsp::sp

@@ -5,10 +5,12 @@
  * The reference SimPoint distribution consumes frequency-vector files
  * (one interval per line, "T:dim:count" fields) and produces
  * `.simpoints` / `.weights` files (one "value phaseId" pair per
- * line) plus a `.labels` file.  This module reads and writes those
- * formats so studies can exchange data with the original tools: BBVs
- * collected here can be clustered by stock SimPoint, and clusterings
- * computed here can drive stock PinPoints-style flows.
+ * line) plus a `.labels` file.  This module reads and writes the
+ * frequency-vector and lengths files and writes the clustering files,
+ * so studies can exchange data with the original tools: BBVs
+ * collected here can be clustered by stock SimPoint (and vice versa),
+ * and clusterings computed here can drive stock PinPoints-style
+ * flows.
  */
 
 #ifndef XBSP_SIMPOINT_IO_HH
@@ -56,7 +58,11 @@ FrequencyVectorSet readBbvFile(std::istream& is,
 void writeLengthsFile(std::ostream& os,
                       const FrequencyVectorSet& fvs);
 
-/** Read a lengths file into an existing vector set (sizes must match). */
+/**
+ * Read a lengths file into an existing vector set (sizes must match).
+ * Calls fatal() on a token that is not an unsigned decimal length, or
+ * on lengths whose total overflows.
+ */
 void readLengthsFile(std::istream& is, FrequencyVectorSet& fvs);
 
 /**
@@ -71,16 +77,6 @@ void writeWeightsFile(std::ostream& os, const SimPointResult& result);
 
 /** Write the `.labels` file: one phase id per interval line. */
 void writeLabelsFile(std::ostream& os, const SimPointResult& result);
-
-/**
- * Reconstruct a (partial) SimPointResult from `.simpoints`,
- * `.weights` and `.labels` streams.  Members are rebuilt from the
- * labels; BIC metadata is not representable in the files and is left
- * zero.  Calls fatal() on inconsistent inputs.
- */
-SimPointResult readSimPointFiles(std::istream& simpoints,
-                                 std::istream& weights,
-                                 std::istream& labels);
 
 } // namespace xbsp::sp
 

@@ -1,12 +1,13 @@
 #include "simpoint/kmeans.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <limits>
+#include <numeric>
+#include <span>
 
 #include "obs/stats.hh"
-#include "util/logging.hh"
 #include "simpoint/kernels.hh"
+#include "util/logging.hh"
 #include "util/threadpool.hh"
 
 namespace xbsp::sp
@@ -18,17 +19,13 @@ namespace
 /**
  * Registry handles for the k-means hot path, resolved once.  All are
  * exact u64 event counts (never wall-clock), so totals are identical
- * at any worker count; test_clustering_equiv relies on that to check
- * the accelerated E-step against the naive one.
+ * at any worker count.
  */
 struct KMeansStats
 {
     obs::Counter fits;
     obs::Counter distances;  ///< sqDist evaluations in E-steps
-    obs::Counter skips;      ///< Hamerly bound proved the owner
-    obs::Counter fallbacks;  ///< bound failed: full scan
     obs::Distribution iterations;
-    obs::Distribution batchSize;  ///< centroid rows per batched call
 };
 
 KMeansStats&
@@ -38,46 +35,73 @@ kmeansStats()
     static KMeansStats stats{
         reg.counter("kmeans.fits"),
         reg.counter("kmeans.estep.distances"),
-        reg.counter("kmeans.hamerly.skips"),
-        reg.counter("kmeans.hamerly.fallbacks"),
         reg.distribution("kmeans.iterations"),
-        reg.distribution("kmeans.estep.batchSize"),
     };
     return stats;
 }
 
 /**
+ * The duplicate classes of the data (identity maps when it carries
+ * none): `of[i]` is the class of point i, `first[u]` the lowest point
+ * index of class u.  Rows of one class are bit-identical, so any
+ * computation that depends only on the row — distances, the nearest
+ * centroid — is done once per class and broadcast to the members
+ * without changing a bit of the result.
+ */
+struct Classes
+{
+    std::vector<u32> identity;
+    std::span<const u32> of;
+    std::span<const u32> first;
+
+    explicit Classes(const ProjectedData& data)
+    {
+        if (data.hasClasses()) {
+            of = data.classOf;
+            first = data.classFirst;
+            return;
+        }
+        identity.resize(data.count);
+        std::iota(identity.begin(), identity.end(), 0u);
+        of = identity;
+        first = identity;
+    }
+
+    Classes(const Classes&) = delete;
+    Classes& operator=(const Classes&) = delete;
+};
+
+/**
  * Assign every point to its nearest centroid; returns weighted SSE.
  *
- * The E-step is the k-means hot loop (O(n * k * dims) per iteration)
- * and every point is independent, so it runs in parallel over fixed
- * chunks of the interval range.  The SSE is reduced per chunk and the
- * partials are summed in chunk order; since the chunking depends only
- * on the point count, the float summation order — and therefore the
- * whole clustering — is bit-identical at any worker count.
+ * The E-step is the k-means hot loop (O(classes * k * dims) per
+ * iteration).  Pass 1 scans all k centroids for each class
+ * representative; pass 2 broadcasts the owner to the class members
+ * and reduces the SSE over the *original* points.  Both passes run in
+ * parallel over fixed chunks; the SSE partials are summed in chunk
+ * order, and since the chunking depends only on the point count, the
+ * float summation order — and therefore the whole clustering — is
+ * bit-identical at any worker count and with or without classes.
  */
 double
-assignLabels(const ProjectedData& data, const KMeansResult& res,
-             std::vector<u32>& labels)
+assignLabels(const ProjectedData& data, const Classes& classes,
+             const KMeansResult& res, std::vector<u32>& labels)
 {
     const std::size_t stride = data.rowStride();
-    // One sample per E-step (not per point): deterministic at any
-    // --jobs, and enough to see the batch shape in the stats dump.
-    kmeansStats().batchSize.sample(res.k);
-    std::vector<double> partialSse(parallelChunkCount(data.count), 0.0);
+    std::vector<u32> owner(classes.first.size());
+    std::vector<double> ownerDist(classes.first.size());
     parallelChunks(
-        globalPool(), data.count,
-        [&](std::size_t begin, std::size_t end, std::size_t chunk) {
+        globalPool(), classes.first.size(),
+        [&](std::size_t begin, std::size_t end, std::size_t) {
             obs::ShardCounter distances(kmeansStats().distances);
-            double sse = 0.0;
             std::vector<double> dist(res.k);
-            for (std::size_t i = begin; i < end; ++i) {
+            for (std::size_t u = begin; u < end; ++u) {
                 // All k distances in one batched call: the point row
                 // stays hot while the centroid matrix streams.  Each
                 // dist[c] is bit-for-bit sqDist(point, centroid c).
-                kernels::sqDistBatch(data.row(i), res.centroids.data(),
-                                     res.k, stride,
-                                     res.rowStride(data.dims),
+                kernels::sqDistBatch(data.row(classes.first[u]),
+                                     res.centroids.data(), res.k,
+                                     stride, res.rowStride(data.dims),
                                      dist.data());
                 double best = std::numeric_limits<double>::max();
                 u32 bestC = 0;
@@ -87,206 +111,21 @@ assignLabels(const ProjectedData& data, const KMeansResult& res,
                         bestC = c;
                     }
                 }
-                labels[i] = bestC;
-                sse += data.weights[i] * best;
+                owner[u] = bestC;
+                ownerDist[u] = best;
             }
-            distances.add((end - begin) *
-                          static_cast<u64>(res.k));
-            partialSse[chunk] = sse;
-        });
-    double sse = 0.0;
-    for (double partial : partialSse)
-        sse += partial;
-    return sse;
-}
-
-/**
- * State for the accelerated E-step: Hamerly distance bounds kept per
- * duplicate class (per point when the data carries no class
- * structure — classOf/classFirst are then identity maps).
- *
- * Exactness argument, in full (DESIGN.md, "Clustering acceleration"):
- *
- *  - Rows of one duplicate class are bit-identical, so the naive
- *    per-point scan computes identical distances — and therefore an
- *    identical argmin — for every member of a class.  Computing the
- *    scan once per class and broadcasting the label is a pure
- *    de-duplication of arithmetic, not an approximation.
- *  - A class is *skipped* only when its exact distance to the owner
- *    hypothesis `u = sqrt(dOwn)` satisfies `u < max(guard[a],
- *    lower)`.  `guard[a]` is half the distance from centroid `a` to
- *    its nearest other centroid: `u < guard[a]` forces every other
- *    centroid strictly farther than `a` (triangle inequality).
- *    `lower` is a running lower bound on the distance to the nearest
- *    *non-owner* centroid (second-best at the last full scan, shrunk
- *    by the maximum centroid movement after every M-step): `u <
- *    lower` again proves strict nearest.  Both inequalities are
- *    strict, so a tie can never be skipped and the naive scan's
- *    lowest-index tie-break is preserved verbatim by the fallback
- *    full scan.
- *  - The skipped class's contribution to the SSE is `dOwn`, computed
- *    by the same sqDist on the same operands the naive scan would
- *    reduce with, and the SSE is accumulated over *original* points
- *    in the same chunk order — bit-identical floats.
- */
-struct AccelState
-{
-    std::vector<u32> classOf;    ///< point -> class
-    std::vector<u32> classFirst; ///< class -> lowest point index
-    std::vector<u32> ownerOf;    ///< class -> owner hypothesis
-    std::vector<double> lower;   ///< class -> non-owner lower bound
-    std::vector<double> dOwn;    ///< class -> exact sqDist to owner
-    bool boundsValid = false;    ///< lower[] usable this iteration
-
-    /** Adopt the data's duplicate classes (identity when absent). */
-    void
-    attach(const ProjectedData& data)
-    {
-        if (data.hasClasses()) {
-            classOf = data.classOf;
-            classFirst = data.classFirst;
-        } else {
-            classOf.resize(data.count);
-            classFirst.resize(data.count);
-            for (std::size_t i = 0; i < data.count; ++i) {
-                classOf[i] = static_cast<u32>(i);
-                classFirst[i] = static_cast<u32>(i);
-            }
-        }
-        ownerOf.assign(classFirst.size(), 0);
-        lower.assign(classFirst.size(), 0.0);
-        dOwn.assign(classFirst.size(), 0.0);
-    }
-
-    /** Seed owner hypotheses from the current labels. */
-    void
-    adoptLabels(const std::vector<u32>& labels)
-    {
-        for (std::size_t u = 0; u < classFirst.size(); ++u)
-            ownerOf[u] = labels[classFirst[u]];
-    }
-
-    /** Centroids teleported (re-seeding): bounds mean nothing now. */
-    void invalidate() { boundsValid = false; }
-
-    /** Centroids moved smoothly: shrink bounds by the worst move. */
-    void
-    relax(const std::vector<double>& oldCentroids,
-          const KMeansResult& res, u32 dims)
-    {
-        if (!boundsValid)
-            return;
-        const std::size_t cstride = res.rowStride(dims);
-        double maxMove = 0.0;
-        for (u32 c = 0; c < res.k; ++c) {
-            const double* before =
-                oldCentroids.data() +
-                static_cast<std::size_t>(c) * cstride;
-            maxMove = std::max(
-                maxMove, kernels::sqDist(before,
-                                         res.centroidRow(c, dims),
-                                         cstride));
-        }
-        if (maxMove <= 0.0)
-            return;
-        const double move = std::sqrt(maxMove);
-        for (double& bound : lower)
-            bound = std::max(0.0, bound - move);
-    }
-};
-
-/**
- * Accelerated drop-in for assignLabels(): per-class Hamerly-bounded
- * nearest-centroid search, then a broadcast pass over the original
- * points that assigns labels and reduces the weighted SSE in exactly
- * the naive chunk order.  See AccelState for why the result is
- * bit-identical.
- */
-double
-assignLabelsAccel(const ProjectedData& data, const KMeansResult& res,
-                  std::vector<u32>& labels, AccelState& state)
-{
-    const u32 k = res.k;
-    const std::size_t stride = data.rowStride();
-    const std::size_t cstride = res.rowStride(data.dims);
-    // Half-distance from each centroid to its nearest neighbour.
-    // With k == 1 this stays huge and every class skips (the single
-    // centroid is trivially nearest).
-    std::vector<double> guard(k, std::numeric_limits<double>::max());
-    for (u32 c = 0; c < k; ++c) {
-        for (u32 c2 = c + 1; c2 < k; ++c2) {
-            const double d =
-                kernels::sqDist(res.centroidRow(c, data.dims),
-                                res.centroidRow(c2, data.dims), cstride);
-            guard[c] = std::min(guard[c], d);
-            guard[c2] = std::min(guard[c2], d);
-        }
-    }
-    for (double& g : guard)
-        g = 0.5 * std::sqrt(g);
-
-    if (!state.boundsValid) {
-        std::fill(state.lower.begin(), state.lower.end(), 0.0);
-        state.boundsValid = true;
-    }
-
-    parallelChunks(
-        globalPool(), state.classFirst.size(),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-            obs::ShardCounter distances(kmeansStats().distances);
-            obs::ShardCounter skips(kmeansStats().skips);
-            obs::ShardCounter fallbacks(kmeansStats().fallbacks);
-            std::vector<double> dist(k);
-            for (std::size_t u = begin; u < end; ++u) {
-                const double* x = data.row(state.classFirst[u]);
-                const u32 a = state.ownerOf[u];
-                const double down =
-                    kernels::sqDist(x, res.centroidRow(a, data.dims),
-                                    stride);
-                distances.add();
-                if (std::sqrt(down) <
-                    std::max(guard[a], state.lower[u])) {
-                    state.dOwn[u] = down;
-                    skips.add();
-                    continue;
-                }
-                fallbacks.add();
-                distances.add(k);
-                // Fallback: the naive scan, verbatim (same batched
-                // kernel over the same operands), plus second-best
-                // tracking to refresh the lower bound.
-                kernels::sqDistBatch(x, res.centroids.data(), k,
-                                     stride, cstride, dist.data());
-                double best = std::numeric_limits<double>::max();
-                double second = best;
-                u32 bestC = 0;
-                for (u32 c = 0; c < k; ++c) {
-                    if (dist[c] < best) {
-                        second = best;
-                        best = dist[c];
-                        bestC = c;
-                    } else if (dist[c] < second) {
-                        second = dist[c];
-                    }
-                }
-                state.ownerOf[u] = bestC;
-                state.dOwn[u] = best;
-                state.lower[u] = std::sqrt(second);
-            }
+            distances.add((end - begin) * static_cast<u64>(res.k));
         });
 
-    // Broadcast labels and reduce the SSE over original points, in
-    // the same chunking the naive E-step uses.
-    std::vector<double> partialSse(parallelChunkCount(data.count),
-                                   0.0);
+    std::vector<double> partialSse(parallelChunkCount(data.count), 0.0);
     parallelChunks(
         globalPool(), data.count,
         [&](std::size_t begin, std::size_t end, std::size_t chunk) {
             double sse = 0.0;
             for (std::size_t i = begin; i < end; ++i) {
-                const u32 u = state.classOf[i];
-                labels[i] = state.ownerOf[u];
-                sse += data.weights[i] * state.dOwn[u];
+                const u32 u = classes.of[i];
+                labels[i] = owner[u];
+                sse += data.weights[i] * ownerDist[u];
             }
             partialSse[chunk] = sse;
         });
@@ -359,16 +198,15 @@ reseedEmpty(const ProjectedData& data, KMeansResult& res,
 }
 
 /**
- * D^2 seeding.  With an AccelState the distance-to-nearest-centroid
- * table is maintained per duplicate class and expanded to per-point
- * sampling probabilities; the probabilities — and hence the RNG
- * consumption and every pick — are bit-identical to the naive loop,
- * because a class member's distance IS its representative's distance
- * (identical rows).
+ * D^2 seeding.  The distance-to-nearest-centroid table is kept per
+ * duplicate class and expanded to per-point sampling probabilities; a
+ * member's distance IS its representative's distance (identical
+ * rows), so the probabilities, the RNG consumption and every pick are
+ * those of a per-point table.
  */
 void
-initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
-             const AccelState* accel)
+initPlusPlus(const ProjectedData& data, const Classes& classes,
+             KMeansResult& res, Rng& rng)
 {
     // First centroid: weighted-uniform draw.
     auto pickWeighted = [&](const std::vector<double>& probs) {
@@ -394,26 +232,19 @@ initPlusPlus(const ProjectedData& data, KMeansResult& res, Rng& rng,
     };
     setCentroid(0, first);
 
-    const std::size_t slots =
-        accel ? accel->classFirst.size() : data.count;
-    std::vector<double> minDist(slots,
+    std::vector<double> minDist(classes.first.size(),
                                 std::numeric_limits<double>::max());
     std::vector<double> probs(data.count);
     for (u32 c = 1; c < res.k; ++c) {
-        for (std::size_t u = 0; u < slots; ++u) {
-            const std::size_t rep =
-                accel ? accel->classFirst[u] : u;
+        for (std::size_t u = 0; u < minDist.size(); ++u) {
             const double d =
-                kernels::sqDist(data.row(rep),
+                kernels::sqDist(data.row(classes.first[u]),
                                 res.centroidRow(c - 1, data.dims),
                                 data.rowStride());
             minDist[u] = std::min(minDist[u], d);
         }
-        for (std::size_t i = 0; i < data.count; ++i) {
-            probs[i] =
-                data.weights[i] *
-                minDist[accel ? accel->classOf[i] : i];
-        }
+        for (std::size_t i = 0; i < data.count; ++i)
+            probs[i] = data.weights[i] * minDist[classes.of[i]];
         setCentroid(c, pickWeighted(probs));
     }
 }
@@ -455,42 +286,24 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
         static_cast<std::size_t>(res.k) * res.stride, 0.0);
     res.clusterWeight.assign(res.k, 0.0);
 
-    AccelState state;
-    if (options.accelerate)
-        state.attach(data);
-
+    const Classes classes(data);
     if (options.init == InitMethod::KMeansPlusPlus)
-        initPlusPlus(data, res, rng,
-                     options.accelerate ? &state : nullptr);
+        initPlusPlus(data, classes, res, rng);
     else
         initRandomPartition(data, res, rng);
 
-    if (options.accelerate)
-        state.adoptLabels(res.labels);
-    auto assign = [&](std::vector<u32>& labels) {
-        return options.accelerate
-                   ? assignLabelsAccel(data, res, labels, state)
-                   : assignLabels(data, res, labels);
-    };
-
     std::vector<u32> newLabels(data.count, 0);
-    std::vector<double> oldCentroids;
     for (u32 iter = 0; iter < options.maxIterations; ++iter) {
         res.iterations = iter + 1;
-        res.weightedSse = assign(newLabels);
+        res.weightedSse = assignLabels(data, classes, res, newLabels);
         const bool stable = newLabels == res.labels && iter > 0;
         res.labels = newLabels;
-        if (options.accelerate)
-            oldCentroids = res.centroids;
         const auto empty = updateCentroids(data, res);
         if (!empty.empty()) {
             reseedEmpty(data, res, empty);
             updateCentroids(data, res);
-            state.invalidate();
             continue;
         }
-        if (options.accelerate)
-            state.relax(oldCentroids, res, data.dims);
         if (stable) {
             res.converged = true;
             break;
@@ -499,7 +312,7 @@ runKMeans(const ProjectedData& data, u32 k, Rng& rng,
     // Final consistent assignment and SSE against the final
     // centroids; recompute member weights to match the final labels
     // without moving the centroids again.
-    res.weightedSse = assign(res.labels);
+    res.weightedSse = assignLabels(data, classes, res, res.labels);
     std::fill(res.clusterWeight.begin(), res.clusterWeight.end(), 0.0);
     for (std::size_t i = 0; i < data.count; ++i)
         res.clusterWeight[res.labels[i]] += data.weights[i];

@@ -26,23 +26,11 @@ enum class InitMethod
     RandomPartition  ///< random labels then M-step (SimPoint classic)
 };
 
-/** Iteration limits, seeding choice and E-step acceleration. */
+/** Iteration limits and seeding choice. */
 struct KMeansOptions
 {
     u32 maxIterations = 100;
     InitMethod init = InitMethod::KMeansPlusPlus;
-
-    /**
-     * Accelerate the E-step with Hamerly distance bounds (and, when
-     * the data carries duplicate-class structure, one distance
-     * computation per class instead of per point).  Bounds only ever
-     * *skip* scans whose outcome they prove; every distance that is
-     * computed uses the same sqDist on the same operands in the same
-     * order as the naive scan, so labels, centroids, SSE and
-     * iteration counts are bit-identical either way (asserted by
-     * tests/test_clustering_equiv.cc).
-     */
-    bool accelerate = true;
 };
 
 /** One clustering of the projected data. */
@@ -84,6 +72,9 @@ struct KMeansResult
  * Run Lloyd's algorithm with weights until labels stabilize or
  * maxIterations.  Empty clusters are re-seeded with the point
  * farthest from its centroid.  k is clamped to the point count.
+ * Distances are computed once per duplicate class of `data` (each
+ * point its own class when it carries none) and broadcast to the
+ * members; the result does not depend on the class structure.
  */
 KMeansResult runKMeans(const ProjectedData& data, u32 k, Rng& rng,
                        const KMeansOptions& options = KMeansOptions{});

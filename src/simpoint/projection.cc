@@ -17,8 +17,7 @@ sqDist(std::span<const double> a, std::span<const double> b)
 }
 
 ProjectedData
-project(const FrequencyVectorSet& fvs, u32 dims, u64 seed,
-        const DedupMap* dedup)
+project(const FrequencyVectorSet& fvs, u32 dims, u64 seed)
 {
     if (dims == 0)
         fatal("projection dimension must be > 0");
@@ -47,46 +46,37 @@ project(const FrequencyVectorSet& fvs, u32 dims, u64 seed,
     auto& reg = obs::StatRegistry::global();
     obs::Counter dotOps = reg.counter("projection.dotOps");
 
-    auto projectRow = [&](std::size_t i, obs::ShardCounter& ops) {
-        double* row = out.row(i);
-        for (const auto& [idx, val] : fvs.vectors[i]) {
-            const double* mrow =
-                matrix.data() + static_cast<std::size_t>(idx) * stride;
-            kernels::axpy(row, mrow, val, stride);
-        }
-        ops.add(static_cast<u64>(fvs.vectors[i].size()) * dims);
-    };
-
+    // Only one vector per duplicate class goes through the matrix;
+    // members copy its row, which is bit-identical to projecting them
+    // (equal sparse vectors feed identical arithmetic).
+    DedupMap dedup = fvs.dedup();
     ThreadPool& pool = globalPool();
-    if (dedup == nullptr) {
-        parallelChunks(pool, fvs.size(),
-                       [&](std::size_t begin, std::size_t end,
-                           std::size_t) {
-                           obs::ShardCounter ops(dotOps);
-                           for (std::size_t i = begin; i < end; ++i)
-                               projectRow(i, ops);
-                       });
-        reg.counter("projection.rows.projected").add(fvs.size());
-    } else {
-        parallelChunks(pool, dedup->firstOf.size(),
-                       [&](std::size_t begin, std::size_t end,
-                           std::size_t) {
-                           obs::ShardCounter ops(dotOps);
-                           for (std::size_t c = begin; c < end; ++c)
-                               projectRow(dedup->firstOf[c], ops);
-                       });
-        parallelFor(pool, fvs.size(), [&](std::size_t i) {
-            const u32 first = dedup->firstOf[dedup->classOf[i]];
-            if (static_cast<std::size_t>(first) != i)
-                std::copy_n(out.row(first), stride, out.row(i));
+    parallelChunks(
+        pool, dedup.classes(),
+        [&](std::size_t begin, std::size_t end, std::size_t) {
+            obs::ShardCounter ops(dotOps);
+            for (std::size_t c = begin; c < end; ++c) {
+                const u32 i = dedup.firstOf[c];
+                double* row = out.row(i);
+                for (const auto& [idx, val] : fvs.vectors[i]) {
+                    const double* mrow =
+                        matrix.data() +
+                        static_cast<std::size_t>(idx) * stride;
+                    kernels::axpy(row, mrow, val, stride);
+                }
+                ops.add(static_cast<u64>(fvs.vectors[i].size()) * dims);
+            }
         });
-        out.classOf = dedup->classOf;
-        out.classFirst = dedup->firstOf;
-        reg.counter("projection.rows.projected")
-            .add(dedup->firstOf.size());
-        reg.counter("projection.rows.copied")
-            .add(fvs.size() - dedup->firstOf.size());
-    }
+    parallelFor(pool, fvs.size(), [&](std::size_t i) {
+        const u32 first = dedup.firstOf[dedup.classOf[i]];
+        if (static_cast<std::size_t>(first) != i)
+            std::copy_n(out.row(first), stride, out.row(i));
+    });
+    reg.counter("projection.rows.projected").add(dedup.classes());
+    reg.counter("projection.rows.copied")
+        .add(fvs.size() - dedup.classes());
+    out.classOf = std::move(dedup.classOf);
+    out.classFirst = std::move(dedup.firstOf);
 
     // Instruction-length weights rescaled to sum to the point count.
     const InstrCount total = fvs.totalInstructions();

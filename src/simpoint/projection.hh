@@ -35,11 +35,12 @@ struct ProjectedData
     std::vector<double> weights;  ///< per point; sums to count
 
     /**
-     * Optional duplicate-class structure (filled when project() is
-     * given a DedupMap): classOf[i] is the duplicate class of point
-     * i, classFirst[c] the lowest point index in class c.  Rows of
-     * one class are bit-identical, so per-class computations stand in
-     * exactly for per-point ones (see kmeans.cc).
+     * Duplicate-class structure (filled by project(); empty means
+     * every point is its own class): classOf[i] is the duplicate
+     * class of point i, classFirst[c] the lowest point index in class
+     * c.  Rows of one class are bit-identical, so per-class
+     * computations stand in exactly for per-point ones (see
+     * kmeans.cc).
      */
     std::vector<u32> classOf;
     std::vector<u32> classFirst;
@@ -84,7 +85,7 @@ struct ProjectedData
  * Point weights are the interval instruction lengths rescaled to sum
  * to the number of points (so BIC formulas keep their usual scale).
  *
- * When `dedup` is given, only one vector per duplicate class is
+ * Only one vector per duplicate class (FrequencyVectorSet::dedup) is
  * pushed through the projection matrix and the resulting row is
  * copied to the class members — bit-identical to projecting each
  * member (equal sparse vectors feed identical arithmetic) at a
@@ -92,7 +93,7 @@ struct ProjectedData
  * to the result for the clustering layer.
  */
 ProjectedData project(const FrequencyVectorSet& fvs, u32 dims,
-                      u64 seed, const DedupMap* dedup = nullptr);
+                      u64 seed);
 
 /**
  * Squared Euclidean distance between a row and a centroid, under the

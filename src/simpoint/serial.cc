@@ -126,10 +126,6 @@ hashSimPointOptions(serial::Hasher& h, const SimPointOptions& options)
     h.u32v(options.maxIterations);
     h.boolean(options.earlyPoints);
     h.f64(options.earlyTolerance);
-    // `accelerate` is deliberately *not* folded: the accelerated and
-    // naive paths are bit-identical by contract, so both may share
-    // one cached artifact.  dedupQuantum changes results, so it is.
-    h.f64(options.dedupQuantum);
 }
 
 } // namespace xbsp::sp

@@ -21,17 +21,13 @@ SimPointResult
 pickFromNormalized(const FrequencyVectorSet& fvs,
                    const SimPointOptions& options)
 {
-    // Coalesce duplicate intervals up front: projection runs once per
-    // class and the clustering layer scans classes instead of points.
-    // The class structure rides along inside ProjectedData; every
-    // label, member list and representative below stays expressed in
-    // original interval ids.
-    DedupMap dedup;
-    if (options.accelerate)
-        dedup = fvs.dedup(options.dedupQuantum);
+    // project() coalesces duplicate intervals: projection runs once
+    // per class and the clustering layer scans classes instead of
+    // points.  The class structure rides along inside ProjectedData;
+    // every label, member list and representative below stays
+    // expressed in original interval ids.
     const ProjectedData data =
-        project(fvs, options.projectedDims, options.seed,
-                options.accelerate ? &dedup : nullptr);
+        project(fvs, options.projectedDims, options.seed);
 
     const u32 maxK = std::max<u32>(
         1, std::min<u32>(options.maxK,
@@ -41,31 +37,24 @@ pickFromNormalized(const FrequencyVectorSet& fvs,
     KMeansOptions kmOpts;
     kmOpts.init = options.init;
     kmOpts.maxIterations = options.maxIterations;
-    kmOpts.accelerate = options.accelerate;
 
     // The (k, seed) sweep.  Every fit forks its own RNG stream from
     // the (const) sweep generator, so fits are order-independent and
     // can fan out across the pool; the best-by-SSE reduction below
     // runs serially in (k, seed-index) order with a strict less-than,
-    // which reproduces the sequential loop's pick — including its
-    // lowest-seed-index tie-break — exactly.
+    // so the pick — including its lowest-seed-index tie-break — does
+    // not depend on the worker count.
     const std::size_t fitCount =
         static_cast<std::size_t>(maxK) * options.seedsPerK;
     std::vector<KMeansResult> fits(fitCount);
-    auto fitOne = [&](std::size_t f) {
+    parallelFor(globalPool(), fitCount, [&](std::size_t f) {
         const u32 k = 1 + static_cast<u32>(f / options.seedsPerK);
         const u32 s = static_cast<u32>(f % options.seedsPerK);
         obs::TraceSpan span(format("kmeans k={} seed={}", k, s),
                             "cluster");
         Rng seedRng = rng.fork((static_cast<u64>(k) << 16) | s);
         fits[f] = runKMeans(data, k, seedRng, kmOpts);
-    };
-    if (options.accelerate) {
-        parallelFor(globalPool(), fitCount, fitOne);
-    } else {
-        for (std::size_t f = 0; f < fitCount; ++f)
-            fitOne(f);
-    }
+    });
 
     std::vector<KMeansResult> bestByK;
     std::vector<double> bicByK;

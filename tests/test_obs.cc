@@ -168,9 +168,9 @@ TEST(StatRegistry, CountersMergeExactlyAtAnyWorkerCount)
 TEST(StatRegistry, ProjectionDotOpsEqualAcrossWorkerCounts)
 {
     // The projection counter symmetric to kmeans.estep.distances:
-    // one count per (sparse entry x output dim) multiply-add, which
-    // is a function of the input only — never of layout, padding,
-    // kernel arch or worker count.
+    // one count per (sparse entry x output dim) multiply-add of each
+    // duplicate class's representative, which is a function of the
+    // input only — never of layout, padding or worker count.
     sp::FrequencyVectorSet fvs;
     fvs.dimension = 64;
     const std::size_t intervals = 200;
@@ -197,7 +197,8 @@ TEST(StatRegistry, ProjectionDotOpsEqualAcrossWorkerCounts)
     const u64 parallelOps = reg.counterValue("projection.dotOps");
     setGlobalJobs(0);
 
-    EXPECT_EQ(serialOps, intervals * nnz * dims);
+    // 200 intervals cycle through 40 distinct vectors.
+    EXPECT_EQ(serialOps, 40 * nnz * dims);
     EXPECT_EQ(serialOps, parallelOps);
 }
 

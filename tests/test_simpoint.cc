@@ -111,19 +111,6 @@ TEST(Fvec, DedupGroupsEqualVectors)
     EXPECT_EQ(map.classOf,
               (std::vector<u32>{0, 1, 0, 1, 0, 1, 2}));
     EXPECT_EQ(map.firstOf, (std::vector<u32>{0, 1, 6}));
-    EXPECT_EQ(map.classLength,
-              (std::vector<InstrCount>{300, 600, 300}));
-}
-
-TEST(Fvec, DedupQuantumMergesNearEqualVectors)
-{
-    FrequencyVectorSet fvs;
-    fvs.dimension = 4;
-    fvs.addInterval(SparseVec{{0, 1.000}}, 10);
-    fvs.addInterval(SparseVec{{0, 1.004}}, 10); // same 0.01 bucket
-    fvs.addInterval(SparseVec{{0, 1.200}}, 10); // different bucket
-    EXPECT_EQ(fvs.dedup().classes(), 3u);
-    EXPECT_EQ(fvs.dedup(0.01).classes(), 2u);
 }
 
 TEST(Projection, ShapeAndDeterminism)
@@ -351,21 +338,17 @@ TEST(SimPointPick, SingleIntervalDegenerate)
 TEST(SimPointPick, AllIdenticalIntervalsCollapseToOnePhase)
 {
     // Every interval carries the same vector: BIC must settle on a
-    // single phase covering everything, under both clustering paths.
-    for (const bool accelerate : {false, true}) {
-        FrequencyVectorSet fvs;
-        fvs.dimension = 8;
-        for (int i = 0; i < 25; ++i)
-            fvs.addInterval(SparseVec{{1, 3.0}, {4, 9.0}}, 1000);
-        SimPointOptions options;
-        options.accelerate = accelerate;
-        const SimPointResult result =
-            pickSimulationPoints(fvs, options);
-        EXPECT_EQ(result.k, 1u) << "accelerate " << accelerate;
-        ASSERT_EQ(result.phases.size(), 1u);
-        EXPECT_DOUBLE_EQ(result.phases[0].weight, 1.0);
-        EXPECT_EQ(result.phases[0].members.size(), 25u);
-    }
+    // single phase covering everything.
+    FrequencyVectorSet fvs;
+    fvs.dimension = 8;
+    for (int i = 0; i < 25; ++i)
+        fvs.addInterval(SparseVec{{1, 3.0}, {4, 9.0}}, 1000);
+    const SimPointResult result =
+        pickSimulationPoints(fvs, SimPointOptions{});
+    EXPECT_EQ(result.k, 1u);
+    ASSERT_EQ(result.phases.size(), 1u);
+    EXPECT_DOUBLE_EQ(result.phases[0].weight, 1.0);
+    EXPECT_EQ(result.phases[0].members.size(), 25u);
 }
 
 TEST(SimPointPick, FewerIntervalsThanMaxK)

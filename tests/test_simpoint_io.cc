@@ -79,6 +79,37 @@ TEST(SimPointIo, LengthsCountMismatchFatal)
                 ::testing::ExitedWithCode(1), "entries");
 }
 
+TEST(SimPointIo, MalformedLengthsFatal)
+{
+    // A sign or a word is not a length ("-5" would otherwise wrap to
+    // 2^64 - 5), nor is a value past u64.
+    for (const auto& [text, message] :
+         {std::pair{"100\n-5\n300\n", "line 2: bad length '-5'"},
+          std::pair{"100\n+5\n300\n", "line 2: bad length '\\+5'"},
+          std::pair{"100 200 300 foo bar\n",
+                    "line 1: bad length 'foo'"},
+          std::pair{"1\n2\n18446744073709551616\n",
+                    "line 3: bad length '18446744073709551616'"}}) {
+        FrequencyVectorSet fvs = sampleFvs();
+        std::stringstream ss(text);
+        EXPECT_EXIT(readLengthsFile(ss, fvs),
+                    ::testing::ExitedWithCode(1), message)
+            << text;
+    }
+    // Lengths that each fit but whose total does not would turn the
+    // phase weights into garbage.
+    FrequencyVectorSet fvs = sampleFvs();
+    std::stringstream big("9223372036854775807\n9223372036854775807\n"
+                          "9223372036854775807\n");
+    EXPECT_EXIT(readLengthsFile(big, fvs), ::testing::ExitedWithCode(1),
+                "line 3: total length overflows");
+    // The largest total that fits is accepted.
+    std::stringstream max("18446744073709551615\n0\n0\n");
+    readLengthsFile(max, fvs);
+    EXPECT_EQ(fvs.totalInstructions(),
+              std::numeric_limits<InstrCount>::max());
+}
+
 TEST(SimPointIo, BadBbvLinesFatal)
 {
     std::stringstream noPrefix("X:1:2\n");
@@ -125,61 +156,22 @@ TEST(SimPointIo, BadBbvLinesFatal)
                 "line 1: negative count");
 }
 
-TEST(SimPointIo, SimpointFilesRoundTrip)
+TEST(SimPointIo, SimpointFilesText)
 {
-    // Cluster on synthetic data, write all three files, read back.
-    FrequencyVectorSet fvs;
-    fvs.dimension = 16;
-    Rng rng(4);
-    for (int i = 0; i < 40; ++i) {
-        const u32 behaviour = i % 3;
-        SparseVec vec{{behaviour * 5,
-                       50.0 + rng.nextDouble(-1.0, 1.0)},
-                      {behaviour * 5 + 1, 25.0}};
-        fvs.addInterval(std::move(vec), 1000);
-    }
-    SimPointOptions options;
-    options.maxK = 6;
-    const SimPointResult original = pickSimulationPoints(fvs, options);
-
+    // The three clustering files, line by line: "representative id",
+    // "weight id" and one label per interval.
+    SimPointResult result;
+    result.k = 2;
+    result.labels = {0, 1, 1, 0, 1};
+    result.phases = {Phase{0, 3, 0.4, {0, 3}},
+                     Phase{1, 2, 0.6, {1, 2, 4}}};
     std::stringstream sims, weights, labels;
-    writeSimpointsFile(sims, original);
-    writeWeightsFile(weights, original);
-    writeLabelsFile(labels, original);
-
-    const SimPointResult parsed =
-        readSimPointFiles(sims, weights, labels);
-    EXPECT_EQ(parsed.labels, original.labels);
-    ASSERT_EQ(parsed.phases.size(), original.phases.size());
-    for (std::size_t p = 0; p < parsed.phases.size(); ++p) {
-        EXPECT_EQ(parsed.phases[p].id, original.phases[p].id);
-        EXPECT_EQ(parsed.phases[p].representative,
-                  original.phases[p].representative);
-        EXPECT_NEAR(parsed.phases[p].weight,
-                    original.phases[p].weight, 1e-6);
-        EXPECT_EQ(parsed.phases[p].members,
-                  original.phases[p].members);
-    }
-}
-
-TEST(SimPointIo, InconsistentFilesFatal)
-{
-    std::stringstream sims("0 0\n"), weights("0.5 0\n1.0 1\n"),
-        labels("0\n0\n");
-    EXPECT_EXIT((void)readSimPointFiles(sims, weights, labels),
-                ::testing::ExitedWithCode(1), "phases");
-
-    std::stringstream sims2("3 0\n"), weights2("1.0 0\n"),
-        labels2("0\n0\n");
-    EXPECT_EXIT((void)readSimPointFiles(sims2, weights2, labels2),
-                ::testing::ExitedWithCode(1), "representative");
-}
-
-TEST(SimPointIo, EmptyLabelsFatal)
-{
-    std::stringstream sims("0 0\n"), weights("1.0 0\n"), labels("");
-    EXPECT_EXIT((void)readSimPointFiles(sims, weights, labels),
-                ::testing::ExitedWithCode(1), "labels file");
+    writeSimpointsFile(sims, result);
+    writeWeightsFile(weights, result);
+    writeLabelsFile(labels, result);
+    EXPECT_EQ(sims.str(), "3 0\n2 1\n");
+    EXPECT_EQ(weights.str(), "0.4 0\n0.6 1\n");
+    EXPECT_EQ(labels.str(), "0\n1\n1\n0\n1\n");
 }
 
 // ---------------------------------------------------------------------

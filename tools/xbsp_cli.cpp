@@ -148,7 +148,6 @@ cmdSimpoints(const Options& options)
     sp::SimPointOptions spOptions;
     spOptions.maxK = static_cast<u32>(options.getUint("maxk"));
     spOptions.seed = options.getUint("seed");
-    spOptions.accelerate = options.getBool("accel");
     const sp::SimPointResult result =
         sp::pickSimulationPoints(fvs, spOptions);
 
@@ -173,7 +172,6 @@ cmdStudy(const Options& options)
     config.intervalTarget = options.getUint("interval");
     config.simpoint.maxK = static_cast<u32>(options.getUint("maxk"));
     config.simpoint.seed = options.getUint("seed");
-    config.simpoint.accelerate = options.getBool("accel");
     const sim::CrossBinaryStudy study = sim::CrossBinaryStudy::run(
         workloads::makeWorkload(options.getString("workload"),
                                 options.getDouble("scale")),
@@ -228,7 +226,6 @@ experimentConfig(const Options& options)
     config.study.simpoint.maxK =
         static_cast<u32>(options.getUint("maxk"));
     config.study.simpoint.seed = options.getUint("seed");
-    config.study.simpoint.accelerate = options.getBool("accel");
     return config;
 }
 
@@ -451,9 +448,6 @@ main(int argc, char** argv)
                     250000);
     options.addUint("maxk", "SimPoint cluster cap", 10);
     options.addUint("seed", "SimPoint seed", 42);
-    options.addBool("accel",
-                    "accelerated clustering engine (exact; see "
-                    "DESIGN.md)", true);
     options.addString("bb", "input .bb file (simpoints command)", "");
     options.addString("lengths", "input lengths file", "");
     options.addString("out", "output path prefix", "");
