@@ -30,8 +30,8 @@ log2u(u64 v)
 SetAssociativeCache::SetAssociativeCache(const LevelConfig& config)
     : cfg(config)
 {
-    if (cfg.lineSize < 2 || !isPow2(cfg.lineSize))
-        fatal("cache {}: line size {} is not a power of two >= 2",
+    if (cfg.lineSize < 4 || !isPow2(cfg.lineSize))
+        fatal("cache {}: line size {} is not a power of two >= 4",
               cfg.name, cfg.lineSize);
     if (cfg.associativity == 0)
         fatal("cache {}: associativity must be > 0", cfg.name);
@@ -40,59 +40,49 @@ SetAssociativeCache::SetAssociativeCache(const LevelConfig& config)
         fatal("cache {}: capacity {} not divisible into {}-way sets",
               cfg.name, cfg.capacityBytes, cfg.associativity);
     ways = cfg.associativity;
-    numSets = static_cast<u32>(numLines / cfg.associativity);
+    const u64 numSets = numLines / cfg.associativity;
     if (!isPow2(numSets))
         fatal("cache {}: set count {} is not a power of two",
               cfg.name, numSets);
     setShift = log2u(cfg.lineSize);
     setMask = numSets - 1;
-    // setShift >= 1 keeps every line address inside 63 bits, so the
-    // packed `(lineAddr << 1) | 1` tag key can never collide or wrap.
-    state.assign(static_cast<std::size_t>(numLines) * 2, 0);
-    mruWay.assign(numSets, 0);
+    // setShift >= 2 keeps every line address inside 62 bits, so the
+    // packed `(lineAddr << 2) | 2 | dirty` word can never wrap.
+    lines.assign(numLines, 0);
 }
 
 Eviction
 SetAssociativeCache::fill(Addr addr, bool dirty)
 {
-    const Addr lineAddr = addr >> setShift;
-    const u64 set = lineAddr & setMask;
-    u64* tag = &state[set * ways * 2];
-    u64* meta = tag + ways;
-    // Victim in one fused scan: the first free way, else the
-    // true-LRU way.  Ticks are unique, so the smallest packed meta
-    // word is the smallest LRU tick (the dirty bit only breaks exact
-    // ties, which cannot occur); ties in way order go low, as always.
-    const u32 way = victimWay(tag, meta, ways);
+    u64* set = &lines[setBase(addr)];
+    const u64 last = set[ways - 1];
+    for (u32 i = ways - 1; i > 0; --i)
+        set[i] = set[i - 1];
+    set[0] = ((addr >> setShift) << 2) | 2 | static_cast<u64>(dirty);
     Eviction ev;
-    if ((tag[way] & 1) != 0) {
+    if (last != 0) {
         ev.valid = true;
-        ev.dirty = (meta[way] & 1) != 0;
-        ev.lineAddr = (tag[way] >> 1) << setShift;
+        ev.dirty = (last & 1) != 0;
+        ev.lineAddr = (last >> 2) << setShift;
         if (ev.dirty)
             ++writebackCount;
     }
-    tag[way] = (lineAddr << 1) | 1;
-    meta[way] = (++tick << 1) | static_cast<u64>(dirty);
-    mruWay[set] = way;
     return ev;
 }
 
 void
 SetAssociativeCache::flush()
 {
-    std::fill(state.begin(), state.end(), 0);
-    std::fill(mruWay.begin(), mruWay.end(), 0);
+    std::fill(lines.begin(), lines.end(), 0);
 }
 
 bool
 SetAssociativeCache::probe(Addr addr) const
 {
-    const Addr lineAddr = addr >> setShift;
-    const u64 set = lineAddr & setMask;
-    const u64 key = (lineAddr << 1) | 1;
-    const u64* tag = &state[set * ways * 2];
-    return findWay(tag, ways, key) != kWayNotFound;
+    const u64 k = key(addr);
+    const u64* set = &lines[setBase(addr)];
+    return std::any_of(set, set + ways,
+                       [k](u64 line) { return (line | 1) == k; });
 }
 
 double

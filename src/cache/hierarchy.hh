@@ -6,11 +6,12 @@
  * 3/14/35-cycle hit latencies and 250-cycle DRAM.
  *
  * The access path is split into an inline L1-hit fast path (one
- * inlined lookup, one latency-table read) and an out-of-line miss
- * slow path (L2/L3 walk, fills, writeback cascade).  accessBatch()
- * therefore keeps the dominant case — an L1 hit — inside one
- * branch-light inner loop; statistics and LRU state are updated
- * exactly as if access() had been called per reference.
+ * inlined lookup, whose first check is the set's MRU slot, and one
+ * latency-table read) and an out-of-line miss slow path (L2/L3 walk,
+ * fills, writeback cascade).  accessBatch() therefore keeps the
+ * dominant case — an L1 hit — inside one branch-light inner loop;
+ * statistics and LRU state are updated exactly as if access() had
+ * been called per reference.
  */
 
 #ifndef XBSP_CACHE_HIERARCHY_HH
@@ -78,14 +79,6 @@ class Hierarchy
     Cycles
     accessBatch(std::span<const mem::MemRef> refs)
     {
-        // Knowing the whole batch up front is what lets the walk
-        // overlap its metadata fetches: hint every referenced L2/L3
-        // set block before the first (serially dependent) set scan.
-        // The simulated L1's state is small enough to stay resident.
-        for (const mem::MemRef& ref : refs) {
-            levels[1].prefetchSet(ref.addr);
-            levels[2].prefetchSet(ref.addr);
-        }
         Cycles total = 0;
         for (const mem::MemRef& ref : refs) {
             if (levels[0].lookup(ref.addr, ref.isWrite)) {

@@ -1,12 +1,13 @@
 /**
  * @file
- * Unit tests for the set-associative LRU cache level and its set
- * scans (lowest matching way; first free way, else the minimum
- * metadata word with ties going to the lowest way).
+ * Unit tests for the set-associative LRU cache level and its
+ * recency-ordered sets (a hit moves the line to the front, a fill
+ * evicts the back).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "cache/cache.hh"
@@ -34,13 +35,29 @@ addrFor(u64 set, u64 tag)
 }
 
 /** Associativities from direct-mapped up to wide L3 sets. */
-const u32 kWays[] = {1, 2, 3, 4, 5, 7, 8, 11, 12, 15, 16, 20, 24};
+const u32 kWays[] = {1, 2, 8, 16, 24};
 
-/** A unique valid (odd) tag word for way w. */
-u64
-tagFor(u32 w, u64 salt)
+/** A `ways`-way, 4-set cache of 64B lines (addrFor's layout). */
+LevelConfig
+waysConfig(u32 ways)
 {
-    return ((salt + w + 1) << 1) | 1;
+    return LevelConfig{"ways", u64{ways} * 4 * 64, ways, 64, 3};
+}
+
+/**
+ * The valid lines of set 1, most recently used first.  Reads them
+ * out as the evictions of `ways` fresh fills, so it empties the set.
+ */
+std::vector<Addr>
+drainSet(SetAssociativeCache& cache, u32 ways)
+{
+    std::vector<Addr> order;
+    for (u32 t = 0; t < ways; ++t) {
+        const cache::Eviction ev = cache.fill(addrFor(1, 1000 + t), false);
+        if (ev.valid)
+            order.insert(order.begin(), ev.lineAddr);
+    }
+    return order;
 }
 
 } // namespace
@@ -154,6 +171,10 @@ TEST(Cache, BadGeometryFatal)
     EXPECT_EXIT(SetAssociativeCache{bad},
                 ::testing::ExitedWithCode(1), "power of two");
     bad = toyConfig();
+    bad.lineSize = 2; // a power of two, but below the 4-byte minimum
+    EXPECT_EXIT(SetAssociativeCache{bad},
+                ::testing::ExitedWithCode(1), ">= 4");
+    bad = toyConfig();
     bad.associativity = 0;
     EXPECT_EXIT(SetAssociativeCache{bad},
                 ::testing::ExitedWithCode(1), "associativity");
@@ -202,11 +223,11 @@ TEST(Cache, TouchIfPresentRefreshesLru)
     EXPECT_EQ(ev.lineAddr, b);
 }
 
-TEST(Cache, MruHintPreservesLruOrder)
+TEST(Cache, AlternatingHitsKeepLruOrder)
 {
-    // Alternate hits across both ways of one set (so the MRU-way
-    // front check repeatedly misses its hint) and confirm LRU
-    // eviction order is still exact.
+    // Alternate hits across both ways of one set (so every hit is in
+    // slot 1 and swaps the pair) and confirm LRU eviction order is
+    // still exact.
     SetAssociativeCache cache(toyConfig());
     const Addr a = addrFor(2, 1), b = addrFor(2, 2);
     cache.fill(a, false);
@@ -229,78 +250,117 @@ TEST(Cache, PaperGeometriesConstruct)
     SUCCEED();
 }
 
-TEST(Cache, FindWayMatchesAtEveryPosition)
+TEST(Cache, TopOfAddressSpaceRoundTrips)
 {
-    for (u32 ways : kWays) {
-        std::vector<u64> tags(ways);
-        for (u32 w = 0; w < ways; ++w)
-            tags[w] = tagFor(w, 0x1000);
-        // Present at each way, including tag values with the high
-        // bit set (addresses near the top of the space).
-        for (u32 target = 0; target < ways; ++target) {
-            EXPECT_EQ(cache::findWay(tags.data(), ways, tags[target]),
-                      target)
-                << "ways=" << ways;
-            tags[target] |= 1ull << 63;
-            EXPECT_EQ(cache::findWay(tags.data(), ways, tags[target]),
-                      target);
-            tags[target] = tagFor(target, 0x1000);
-        }
-        // Absent key, and a free way (0) never matching.
-        tags[ways / 2] = 0;
-        EXPECT_EQ(cache::findWay(tags.data(), ways, tagFor(77, 0x9999)),
-                  cache::kWayNotFound)
-            << "ways=" << ways;
-    }
+    // With the minimum 4-byte line the packed word has no spare bit:
+    // the last line of the address space must still match and evict
+    // as itself.  Two 1-way sets; both lines below map to set 1.
+    SetAssociativeCache cache(LevelConfig{"tiny", 8, 1, 4, 1});
+    const Addr top = ~Addr{3};
+    cache.fill(top, true);
+    EXPECT_TRUE(cache.lookup(top + 3, false));
+    EXPECT_FALSE(cache.probe(top - 8));
+    const cache::Eviction ev = cache.fill(top - 8, false);
+    EXPECT_TRUE(ev.valid);
+    EXPECT_TRUE(ev.dirty);
+    EXPECT_EQ(ev.lineAddr, top);
 }
 
-TEST(Cache, VictimWayPrefersLowestFreeWay)
+TEST(Cache, HitAtEverySlotMovesLineToFront)
 {
     for (u32 ways : kWays) {
-        std::vector<u64> tags(ways);
-        std::vector<u64> metas(ways);
-        for (u32 w = 0; w < ways; ++w) {
-            tags[w] = tagFor(w, 0x2000);
-            metas[w] = (static_cast<u64>(w + 10) << 1) | (w & 1);
-        }
-        for (u32 freeAt = 0; freeAt < ways; ++freeAt) {
-            tags[freeAt] = 0;
-            // A second free way above must lose to the lower one.
-            if (freeAt + 2 < ways)
-                tags[freeAt + 2] = 0;
-            EXPECT_EQ(cache::victimWay(tags.data(), metas.data(), ways),
-                      freeAt)
-                << "ways=" << ways;
-            for (u32 w = 0; w < ways; ++w)
-                tags[w] = tagFor(w, 0x2000);
-        }
-    }
-}
-
-TEST(Cache, VictimWayPicksUnsignedMinimumMetaTiesLow)
-{
-    Rng rng(20260808);
-    for (u32 ways : kWays) {
-        std::vector<u64> tags(ways);
-        for (u32 w = 0; w < ways; ++w)
-            tags[w] = tagFor(w, 0x3000);
-        std::vector<u64> metas(ways);
-        for (int round = 0; round < 200; ++round) {
-            // High-bit-heavy values exercise the unsigned ordering;
-            // small ranges force ties.
-            const u64 mask = (round % 3 == 0)   ? 0xfull
-                             : (round % 3 == 1) ? ~0ull
-                                                : (0xfull | (1ull << 63));
-            for (u32 w = 0; w < ways; ++w)
-                metas[w] = rng.next() & mask;
-            u32 expect = 0;
-            for (u32 w = 1; w < ways; ++w) {
-                if (metas[w] < metas[expect])
-                    expect = w;
+        for (u32 slot = 0; slot < ways; ++slot) {
+            SetAssociativeCache cache(waysConfig(ways));
+            // Filled oldest first: slot s holds tag ways - s.
+            std::vector<Addr> expect;
+            for (u32 t = 1; t <= ways; ++t) {
+                cache.fill(addrFor(1, t), false);
+                expect.insert(expect.begin(), addrFor(1, t));
             }
-            EXPECT_EQ(cache::victimWay(tags.data(), metas.data(), ways),
-                      expect)
-                << "ways=" << ways << " round=" << round;
+            EXPECT_TRUE(cache.lookup(expect[slot], false));
+            std::rotate(expect.begin(), expect.begin() + slot,
+                        expect.begin() + slot + 1);
+            EXPECT_EQ(drainSet(cache, ways), expect)
+                << "ways=" << ways << " slot=" << slot;
+            EXPECT_EQ(cache.misses(), 0u);
         }
+    }
+}
+
+TEST(Cache, FillEvictsLruLine)
+{
+    // Random hits, writebacks and fills against a plain MRU-first
+    // list: every fill of a full set evicts the list's last line.
+    Rng rng(20261019);
+    for (u32 ways : kWays) {
+        SetAssociativeCache cache(waysConfig(ways));
+        std::vector<Addr> model;
+        for (int i = 0; i < 2000; ++i) {
+            const Addr addr = addrFor(1, rng.nextBelow(2 * ways + 1));
+            const auto it = std::find(model.begin(), model.end(), addr);
+            const bool present = it != model.end();
+            const bool hit = (i % 5 == 0) ? cache.touchIfPresent(addr)
+                                          : cache.lookup(addr, false);
+            ASSERT_EQ(hit, present) << "ways=" << ways << " i=" << i;
+            if (present) {
+                std::rotate(model.begin(), it, it + 1);
+                continue;
+            }
+            const cache::Eviction ev = cache.fill(addr, false);
+            ASSERT_EQ(ev.valid, model.size() == ways);
+            if (ev.valid) {
+                ASSERT_EQ(ev.lineAddr, model.back())
+                    << "ways=" << ways << " i=" << i;
+                model.pop_back();
+            }
+            model.insert(model.begin(), addr);
+        }
+        EXPECT_EQ(drainSet(cache, ways), model) << "ways=" << ways;
+    }
+}
+
+TEST(Cache, FreeSlotsNeverEvictValidLine)
+{
+    for (u32 ways : kWays) {
+        SetAssociativeCache cache(waysConfig(ways));
+        for (int round = 0; round < 2; ++round) {
+            // Fill all but one slot, re-touching the oldest line
+            // between fills so the set is not in fill order.
+            for (u32 t = 1; t < ways; ++t) {
+                const cache::Eviction ev =
+                    cache.fill(addrFor(1, t), t % 2 == 0);
+                EXPECT_FALSE(ev.valid) << "ways=" << ways;
+                EXPECT_TRUE(cache.lookup(addrFor(1, 1), false));
+            }
+            for (u32 t = 1; t < ways; ++t)
+                EXPECT_TRUE(cache.probe(addrFor(1, t)));
+            EXPECT_EQ(cache.writebacksOut(), 0u);
+            // A flushed set is all free slots again.
+            cache.flush();
+        }
+        EXPECT_TRUE(drainSet(cache, ways).empty());
+    }
+}
+
+TEST(Cache, DirtyBitSurvivesMove)
+{
+    for (u32 ways : kWays) {
+        SetAssociativeCache cache(waysConfig(ways));
+        const Addr dirty = addrFor(1, 1);
+        cache.fill(dirty, false);
+        EXPECT_TRUE(cache.lookup(dirty, true)); // dirtied in slot 0
+        // Push it to the last slot, then read-hit it back to slot 0.
+        for (u32 t = 2; t <= ways; ++t)
+            cache.fill(addrFor(1, t), false);
+        EXPECT_TRUE(cache.lookup(dirty, false));
+        // Push it down again with clean fills, which also evict the
+        // clean lines behind it, and finally evict it.
+        for (u32 t = 0; t < ways; ++t) {
+            EXPECT_EQ(cache.writebacksOut(), 0u) << "ways=" << ways;
+            const cache::Eviction ev =
+                cache.fill(addrFor(1, 100 + t), false);
+            EXPECT_EQ(ev.dirty, ev.lineAddr == dirty);
+        }
+        EXPECT_EQ(cache.writebacksOut(), 1u) << "ways=" << ways;
     }
 }

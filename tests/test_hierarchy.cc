@@ -6,6 +6,9 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <vector>
+
 #include "cache/hierarchy.hh"
 #include "cpu/core.hh"
 #include "cpu/inorder.hh"
@@ -125,8 +128,8 @@ TEST(Hierarchy, MismatchedLineSizesFatal)
 TEST(Hierarchy, ReferenceModelMatchesFastPathExactly)
 {
     // Drive twin hierarchies with the same pseudo-random mixed
-    // stream — one through the optimized classes (packed-tag SoA,
-    // MRU hint, latency table), one through the standalone
+    // stream — one through the optimized classes (recency-ordered
+    // sets, latency table), one through the standalone
     // pre-fast-path reference model — and require identical hit
     // levels, latencies, statistics and final contents.
     Hierarchy fast;
@@ -160,6 +163,86 @@ TEST(Hierarchy, ReferenceModelMatchesFastPathExactly)
     // Final contents agree too: probe a sample of lines.
     for (Addr addr = 0; addr < (3u << 19); addr += 4096)
         EXPECT_EQ(fast.l1().probe(addr), reference.l1().probe(addr));
+}
+
+namespace
+{
+
+/**
+ * Drive `config` twins with the same batched stream: the optimized
+ * hierarchy through accessBatch(), the reference model one access()
+ * per reference.  Batch sizes vary (empty ones included), references
+ * come in runs of same-line repeats that write on the repeats, and
+ * both hierarchies are flushed part-way through.
+ */
+void
+expectBatchesMatchReference(const HierarchyConfig& config)
+{
+    Hierarchy fast(config);
+    cache::ReferenceHierarchy reference(config);
+    u64 state = 0x2545F4914F6CDD1Dull;
+    auto next = [&state] {
+        state = state * 6364136223846793005ull + 1442695040888963407ull;
+        return state >> 11;
+    };
+    const Addr footprint = 3u << 19; // every level and DRAM take part
+    std::vector<mem::MemRef> batch;
+    for (int b = 0; b < 4000; ++b) {
+        if (b == 2500) {
+            fast.flushAll();
+            reference.flushAll();
+        }
+        const u64 size = (b % 50 == 0) ? 0 : next() % 97;
+        batch.clear();
+        while (batch.size() < size) {
+            const Addr addr = next() % footprint;
+            batch.push_back({addr, (next() & 3) == 0});
+            const Addr line = addr & ~Addr{63};
+            for (u64 r = next() % 4; r > 0 && batch.size() < size; --r)
+                batch.push_back({line | (next() & 63), true});
+        }
+        Cycles refCycles = 0;
+        for (const mem::MemRef& ref : batch)
+            refCycles += reference.latency(
+                reference.access(ref.addr, ref.isWrite));
+        ASSERT_EQ(fast.accessBatch(batch), refCycles) << "batch " << b;
+        for (const HitLevel level :
+             {HitLevel::L1, HitLevel::L2, HitLevel::L3,
+              HitLevel::Memory}) {
+            ASSERT_EQ(fast.servicedAt(level), reference.servicedAt(level))
+                << "batch " << b;
+        }
+    }
+    EXPECT_EQ(fast.dramWritebacks(), reference.dramWritebacks());
+    EXPECT_GT(fast.dramWritebacks(), 0u);
+    const std::array<const cache::SetAssociativeCache*, 3> fastLevels{
+        &fast.l1(), &fast.l2(), &fast.l3()};
+    const std::array<const cache::ReferenceCache*, 3> refLevels{
+        &reference.l1(), &reference.l2(), &reference.l3()};
+    for (std::size_t i = 0; i < 3; ++i) {
+        EXPECT_EQ(fastLevels[i]->accesses(), refLevels[i]->accesses());
+        EXPECT_EQ(fastLevels[i]->misses(), refLevels[i]->misses());
+        EXPECT_EQ(fastLevels[i]->writebacksOut(),
+                  refLevels[i]->writebacksOut());
+        for (Addr addr = 0; addr < footprint; addr += 64)
+            ASSERT_EQ(fastLevels[i]->probe(addr), refLevels[i]->probe(addr))
+                << "level " << i << " addr " << addr;
+    }
+}
+
+} // namespace
+
+TEST(Hierarchy, AccessBatchMatchesReferenceModel)
+{
+    expectBatchesMatchReference(HierarchyConfig::paperTable1());
+}
+
+TEST(Hierarchy, AccessBatchMatchesReferenceModelAtExtremeWays)
+{
+    HierarchyConfig config;
+    config.l1.associativity = 1;  // direct-mapped: one slot per set
+    config.l3.associativity = 32; // four cache lines per set
+    expectBatchesMatchReference(config);
 }
 
 TEST(InOrderCore, CyclesAreInstrsPlusMemoryLatency)

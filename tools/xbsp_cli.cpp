@@ -85,6 +85,24 @@ parseTarget(const std::string& name)
     fatal("unknown target '{}' (expected 32u/32o/64u/64o)", name);
 }
 
+/**
+ * Write `path` through `write(std::ostream&)`; fatal (exit 1) if the
+ * file cannot be opened or any write to it, the final flush included,
+ * fails.
+ */
+template <typename Write>
+void
+writeFile(const std::string& path, Write&& write)
+{
+    std::ofstream os(path);
+    if (!os)
+        fatal("cannot write '{}'", path);
+    write(os);
+    os.close();
+    if (!os)
+        fatal("cannot write '{}'", path);
+}
+
 int
 cmdList()
 {
@@ -108,6 +126,9 @@ cmdDescribe(const Options& options)
 int
 cmdBbv(const Options& options)
 {
+    const std::string prefix = options.getString("out");
+    if (prefix.empty())
+        fatal("bbv requires --out <prefix>");
     const bin::Binary binary = compile::compileProgram(
         workloads::makeWorkload(options.getString("workload"),
                                 options.getDouble("scale")),
@@ -115,13 +136,12 @@ cmdBbv(const Options& options)
     const prof::ProfilePass pass = prof::runProfilePass(
         binary, options.getUint("interval"));
 
-    const std::string prefix = options.getString("out");
-    if (prefix.empty())
-        fatal("bbv requires --out <prefix>");
-    std::ofstream bb(prefix + ".bb");
-    sp::writeBbvFile(bb, pass.fliIntervals);
-    std::ofstream lens(prefix + ".lens");
-    sp::writeLengthsFile(lens, pass.fliIntervals);
+    writeFile(prefix + ".bb", [&](std::ostream& os) {
+        sp::writeBbvFile(os, pass.fliIntervals);
+    });
+    writeFile(prefix + ".lens", [&](std::ostream& os) {
+        sp::writeLengthsFile(os, pass.fliIntervals);
+    });
     inform("wrote {} intervals to {}.bb / {}.lens",
            pass.fliIntervals.size(), prefix, prefix);
     return 0;
@@ -133,6 +153,9 @@ cmdSimpoints(const Options& options)
     const std::string bbPath = options.getString("bb");
     if (bbPath.empty())
         fatal("simpoints requires --bb <file>");
+    const std::string prefix = options.getString("out");
+    if (prefix.empty())
+        fatal("simpoints requires --out <prefix>");
     std::ifstream bb(bbPath);
     if (!bb)
         fatal("cannot open '{}'", bbPath);
@@ -151,15 +174,15 @@ cmdSimpoints(const Options& options)
     const sp::SimPointResult result =
         sp::pickSimulationPoints(fvs, spOptions);
 
-    const std::string prefix = options.getString("out");
-    if (prefix.empty())
-        fatal("simpoints requires --out <prefix>");
-    std::ofstream sims(prefix + ".simpoints");
-    sp::writeSimpointsFile(sims, result);
-    std::ofstream weights(prefix + ".weights");
-    sp::writeWeightsFile(weights, result);
-    std::ofstream labels(prefix + ".labels");
-    sp::writeLabelsFile(labels, result);
+    writeFile(prefix + ".simpoints", [&](std::ostream& os) {
+        sp::writeSimpointsFile(os, result);
+    });
+    writeFile(prefix + ".weights", [&](std::ostream& os) {
+        sp::writeWeightsFile(os, result);
+    });
+    writeFile(prefix + ".labels", [&](std::ostream& os) {
+        sp::writeLabelsFile(os, result);
+    });
     inform("{} intervals -> {} phases; wrote {}.simpoints/.weights/"
            ".labels", fvs.size(), result.phases.size(), prefix);
     return 0;
@@ -207,8 +230,9 @@ cmdStudy(const Options& options)
                 study.vliClustering(), b, weights);
             const std::string path =
                 prefix + "." + bin::targetName(bs.target) + ".regions";
-            std::ofstream os(path);
-            core::writeRegionSpecs(os, specs);
+            writeFile(path, [&](std::ostream& os) {
+                core::writeRegionSpecs(os, specs);
+            });
             inform("wrote {}", path);
         }
     }
@@ -246,21 +270,20 @@ cmdGraph(const Options& options)
     if (options.getBool("run"))
         suite.graph.run(globalPool());
 
-    std::ofstream file;
-    std::ostream* os = &std::cout;
+    auto write = [&](std::ostream& os) {
+        if (options.getBool("dot")) {
+            suite.graph.writeDot(os);
+        } else {
+            JsonWriter w(os);
+            suite.graph.writeJson(w);
+            os << '\n';
+        }
+    };
     if (const std::string path = options.getString("out");
         !path.empty()) {
-        file.open(path);
-        if (!file)
-            fatal("cannot write '{}'", path);
-        os = &file;
-    }
-    if (options.getBool("dot")) {
-        suite.graph.writeDot(*os);
+        writeFile(path, write);
     } else {
-        JsonWriter w(*os);
-        suite.graph.writeJson(w);
-        *os << '\n';
+        write(std::cout);
     }
     return 0;
 }
