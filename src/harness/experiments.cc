@@ -467,28 +467,36 @@ ExperimentSuite::mappabilityReport()
 namespace
 {
 
-Table
+std::vector<Table>
 renderFigure(ExperimentSuite& suite, const ExperimentConfig& config,
              const std::string& name)
 {
     if (name == "table1")
-        return ExperimentSuite::table1(config.study.memory);
+        return {ExperimentSuite::table1(config.study.memory)};
     if (name == "figure1")
-        return suite.figure1();
+        return {suite.figure1()};
     if (name == "figure2")
-        return suite.figure2();
+        return {suite.figure2()};
     if (name == "figure3")
-        return suite.figure3();
+        return {suite.figure3()};
     if (name == "figure4")
-        return suite.figure4();
+        return {suite.figure4()};
     if (name == "figure5")
-        return suite.figure5();
+        return {suite.figure5()};
     if (name == "table2")
-        return suite.table2();
+        return {suite.table2()};
     if (name == "table3")
-        return suite.table3();
+        return {suite.table3()};
     if (name == "mappability")
-        return suite.mappabilityReport();
+        return {suite.mappabilityReport()};
+    if (name == "simpoint")
+        return simpointAblation(config);
+    if (name == "primary")
+        return {primaryAblation(config)};
+    if (name == "warming")
+        return {warmingAblation(config)};
+    if (name == "agreement")
+        return {phaseAgreement(suite)};
     fatal("unknown figure '{}'", name);
 }
 
@@ -503,8 +511,10 @@ renderReport(const ExperimentConfig& config,
     for (const std::string& name :
          figures.empty() ? std::vector<std::string>{"figure3"}
                          : figures) {
-        renderFigure(suite, config, name).print(os);
-        os << "\n";
+        for (const Table& table : renderFigure(suite, config, name)) {
+            table.print(os);
+            os << "\n";
+        }
     }
     return os.str();
 }

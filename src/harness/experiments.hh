@@ -14,6 +14,9 @@
  *   Figure 5 — speedup error, cross platform (32u64u, 32o64o)
  *   Table 2  — gcc per-phase bias, 32u vs 64u
  *   Table 3  — apsi per-phase bias, 32o vs 64o
+ *
+ * plus the ablations and the phase-agreement analysis beyond the
+ * paper (ablations.cc).
  */
 
 #ifndef XBSP_HARNESS_EXPERIMENTS_HH
@@ -148,17 +151,55 @@ struct SuiteGraph
 void buildSuiteGraph(SuiteGraph& out, const ExperimentConfig& config,
                      const std::vector<std::string>& workloads);
 
-/** Default study configuration used by all benches. */
+/** Default study configuration of every report and tool. */
 sim::StudyConfig defaultStudyConfig();
 
 /**
  * Run `config`'s suite and render the named figures and tables —
- * table1, figure1..figure5, table2, table3, mappability; figure3
- * when `figures` is empty — each followed by a blank line.  This is
- * what `xbsp report` prints.  Fatal on an unknown figure name.
+ * table1, figure1..figure5, table2, table3, mappability, and the
+ * report names beyond the paper: simpoint, primary, warming and
+ * agreement; figure3 when `figures` is empty — each followed by a
+ * blank line.  This is what `xbsp report` prints.  Fatal on an
+ * unknown figure name.
  */
 std::string renderReport(const ExperimentConfig& config,
                          const std::vector<std::string>& figures);
+
+/*
+ * Ablations and analyses beyond the paper (ablations.cc).  The
+ * ablations sweep a study knob over suites of their own; with no
+ * workloads configured they run a representative subset instead of
+ * the full suite ({gcc, apsi, swim, mcf, crafty} for simpoint and
+ * primary, {swim, mcf, gzip, eon} for warming).
+ */
+
+/**
+ * SimPoint-configuration ablation: average FLI/VLI CPI and speedup
+ * error under sweeps of the projection dimensionality, the maxK
+ * cluster cap, the k-means seeding, the interval target and early
+ * versus central simulation points — one table per sweep.
+ */
+std::vector<Table> simpointAblation(const ExperimentConfig& config);
+
+/**
+ * Primary-binary ablation (§3.2.4: the primary can be picked
+ * arbitrarily): average VLI interval size, CPI and speedup error with
+ * each of the four binaries as the VLI primary.
+ */
+Table primaryAblation(const ExperimentConfig& config);
+
+/**
+ * Warm versus cold sampling (DESIGN.md decision 4): each binary's VLI
+ * estimate next to one rebuilt from cold-cache region replays.
+ */
+Table warmingAblation(const ExperimentConfig& config);
+
+/**
+ * Cross-binary phase agreement (quantifies §5.2.1): the pairwise
+ * adjusted Rand index of the per-binary FLI clusterings, projected
+ * onto the mapped-interval frame, per workload of `suite`.
+ */
+Table phaseAgreement(ExperimentSuite& suite);
 
 /**
  * The cross-*microarchitecture* experiment: the same binaries studied

@@ -8,10 +8,9 @@
  * unprobed nodes), how long it ran on the wall and on a worker,
  * which worker executed it, and the content-address (stage key) of
  * what it produced.  ObsSession::flush() writes the collected runs
- * as `manifest.json` next to --stats-out, and the bench harness
- * embeds them into BENCH_pipeline.json, so a benchmark number can
- * always be traced back to exactly which artifacts were rebuilt
- * versus replayed.
+ * as `manifest.json` next to --stats-out, so a timing can always be
+ * traced back to exactly which artifacts were rebuilt versus
+ * replayed.
  *
  * Store keys are captured through lazy provenance callbacks
  * (TaskGraph::setProvenance) evaluated only for nodes that actually

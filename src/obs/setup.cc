@@ -93,21 +93,6 @@ ObsSession::ObsSession(const Options& opts)
     applyLogLevel(opts.getString("log-level"));
     if (opts.getBool("progress"))
         Progress::global().enable();
-    applyCommon();
-}
-
-ObsSession::ObsSession()
-    : statsPath(pathFrom({}, "XBSP_STATS")),
-      tracePath(pathFrom({}, "XBSP_TRACE")),
-      manifestPath(pathFrom({}, "XBSP_MANIFEST"))
-{
-    applyLogLevel({});
-    applyCommon();
-}
-
-void
-ObsSession::applyCommon()
-{
     if (!tracePath.empty())
         TraceSession::global().enable();
     if (manifestPath.empty() && !statsPath.empty())

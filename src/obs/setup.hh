@@ -6,8 +6,8 @@
  * tracing/progress/log level for the run and writes the stats, trace
  * and manifest files when flushed (or destroyed).
  *
- * Flags (each with an environment fallback so wrapped invocations —
- * CI, benches — can opt in without touching argv):
+ * Flags (the paths and log level with an environment fallback, so
+ * wrapped invocations can opt in without touching argv):
  *
  *   --stats-out=FILE    / XBSP_STATS=FILE    stats registry JSON
  *   --trace-out=FILE    / XBSP_TRACE=FILE    Chrome trace JSON
@@ -50,9 +50,6 @@ class ObsSession
     /** Read the flags declared by addCliOptions() (+ env). */
     explicit ObsSession(const Options& opts);
 
-    /** Env-only configuration (benches without the shared flags). */
-    ObsSession();
-
     /** Flushes output files when requested; warns on failure. */
     ~ObsSession();
 
@@ -68,17 +65,12 @@ class ObsSession
      */
     void flush();
 
-    /** Resolved manifest output path ("" when none will be written). */
-    const std::string& manifestOutputPath() const { return manifestPath; }
-
   private:
     std::string statsPath;
     std::string tracePath;
     std::string manifestPath;
     bool includeTimers = false;
     bool flushed = false;
-
-    void applyCommon();
 };
 
 } // namespace xbsp::obs

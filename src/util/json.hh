@@ -1,29 +1,22 @@
 /**
  * @file
- * Streaming JSON emitter shared by the bench summaries, the stats
- * registry dump and the trace writer, plus a small recursive-descent
- * reader (JsonValue/parseJson) for the tools that consume our own
- * documents back — the `xbsp manifest` pretty-printer and tests that
- * validate trace/manifest output.  One writer per document:
- * containers are opened/closed explicitly, commas, newlines and
- * indentation are managed automatically, strings are escaped per RFC
- * 8259, and key order is exactly the call order — so documents built
- * from sorted containers have stable, diffable key order.
+ * Streaming JSON emitter shared by the stats registry dump, the trace
+ * writer, the provenance manifest and the task-graph dump.  One writer
+ * per document: containers are opened/closed explicitly, commas,
+ * newlines and indentation are managed automatically, strings are
+ * escaped per RFC 8259, and key order is exactly the call order — so
+ * documents built from sorted containers have stable, diffable key
+ * order.
  */
 
 #ifndef XBSP_UTIL_JSON_HH
 #define XBSP_UTIL_JSON_HH
 
-#include <memory>
 #include <ostream>
-#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <utility>
 #include <vector>
-
-#include "util/types.hh"
 
 namespace xbsp
 {
@@ -113,86 +106,6 @@ class JsonWriter
     JsonWriter& intValue(long long number);
     JsonWriter& uintValue(unsigned long long number);
 };
-
-/** Malformed input handed to parseJson(). */
-class JsonParseError : public std::runtime_error
-{
-  public:
-    using std::runtime_error::runtime_error;
-};
-
-/**
- * Parsed JSON document node.  Objects keep their members in document
- * order (our writers emit deterministic key order; the reader
- * preserves it).  Numbers are stored as doubles — every integer this
- * repo emits fits a double's 53-bit mantissa exactly.  Accessors
- * throw JsonParseError on kind mismatch so consumers of malformed
- * documents fail with a message instead of crashing.
- */
-class JsonValue
-{
-  public:
-    enum class Kind { Null, Bool, Number, String, Array, Object };
-
-    using Member = std::pair<std::string, JsonValue>;
-
-    JsonValue() = default;
-
-    Kind kind() const { return what; }
-    bool isNull() const { return what == Kind::Null; }
-    bool isObject() const { return what == Kind::Object; }
-    bool isArray() const { return what == Kind::Array; }
-
-    /** Checked scalar accessors. */
-    bool asBool() const;
-    double asNumber() const;
-    u64 asU64() const;
-    const std::string& asString() const;
-
-    /** Checked container accessors. */
-    const std::vector<JsonValue>& items() const;
-    const std::vector<Member>& members() const;
-
-    /** Object member by key; throws when absent or not an object. */
-    const JsonValue& at(std::string_view key) const;
-
-    /** Object member by key; nullptr when absent. */
-    const JsonValue* find(std::string_view key) const;
-
-    /** Array element; throws when out of range or not an array. */
-    const JsonValue& at(std::size_t index) const;
-
-    std::size_t size() const;
-
-  private:
-    friend class JsonParser;
-
-    Kind what = Kind::Null;
-    bool boolean = false;
-    double number = 0.0;
-    std::string text;
-    std::vector<JsonValue> array;
-    std::vector<Member> object;
-};
-
-/**
- * Re-emit a parsed document through a writer, preserving member
- * order.  Lets tools that post-process our JSON (e.g. `xbsp manifest
- * --json`) round-trip documents through the one escaping/formatting
- * path instead of hand-printing.  `w` must be positioned where a
- * value is legal (fresh writer, after key(), or inside an array).
- */
-void writeJsonValue(JsonWriter& w, const JsonValue& value);
-
-/**
- * Parse one complete JSON document (trailing whitespace allowed,
- * trailing garbage is an error).  Throws JsonParseError with an
- * offset-bearing message on malformed input.
- */
-JsonValue parseJson(std::string_view text);
-
-/** parseJson() over the full contents of a file. */
-JsonValue parseJsonFile(const std::string& path);
 
 } // namespace xbsp
 

@@ -107,37 +107,4 @@ Table::print(std::ostream& os) const
         emitRow(row);
 }
 
-namespace
-{
-
-std::string
-csvEscape(const std::string& v)
-{
-    if (v.find_first_of(",\"\n") == std::string::npos)
-        return v;
-    std::string out = "\"";
-    for (char ch : v) {
-        if (ch == '"')
-            out += '"';
-        out += ch;
-    }
-    out += '"';
-    return out;
-}
-
-} // namespace
-
-void
-Table::printCsv(std::ostream& os) const
-{
-    for (std::size_t c = 0; c < headers.size(); ++c)
-        os << (c ? "," : "") << csvEscape(headers[c]);
-    os << '\n';
-    for (const auto& row : rows) {
-        for (std::size_t c = 0; c < row.size(); ++c)
-            os << (c ? "," : "") << csvEscape(row[c]);
-        os << '\n';
-    }
-}
-
 } // namespace xbsp

@@ -1,8 +1,8 @@
 /**
  * @file
- * ASCII table rendering and CSV export for the experiment harness.
- * Every figure/table bench prints its results through this class so
- * all output shares one format and can be parsed back from logs.
+ * ASCII table rendering for the experiment harness.  Every figure
+ * and table of a report prints through this class, so all output
+ * shares one format and can be parsed back from logs.
  */
 
 #ifndef XBSP_UTIL_TABLE_HH
@@ -49,20 +49,11 @@ class Table
     /** Read a cell back (row-major), for tests and post-processing. */
     const std::string& cell(std::size_t row, std::size_t col) const;
 
-    /** Read a column header back. */
-    const std::string& header(std::size_t col) const
-    {
-        return headers.at(col);
-    }
-
     /** The caption supplied at construction. */
     const std::string& caption() const { return title; }
 
     /** Render the table with aligned columns and a rule under headers. */
     void print(std::ostream& os) const;
-
-    /** Render the table as CSV (header row first). */
-    void printCsv(std::ostream& os) const;
 
   private:
     std::string title;

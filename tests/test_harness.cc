@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for the experiment harness: table shapes, caching and the
- * default configuration.
+ * Tests for the experiment harness: table shapes, caching, the
+ * default configuration and the ablation report names.
  */
 
 #include <gtest/gtest.h>
@@ -130,6 +130,63 @@ TEST(Harness, RenderReportPrintsNamedTablesInOrder)
               table1.str() + figure3.str());
     // No names means figure3 alone.
     EXPECT_EQ(harness::renderReport(config, {}), figure3.str());
+}
+
+TEST(Harness, PrimaryAblationRowsPerBinary)
+{
+    const harness::ExperimentConfig config = quickConfig({"gzip"});
+    const Table table = harness::primaryAblation(config);
+    ASSERT_EQ(table.rowCount(), 4u);
+    EXPECT_EQ(table.cell(0, 0), "32u");
+    EXPECT_EQ(table.cell(1, 0), "32o");
+    EXPECT_EQ(table.cell(2, 0), "64u");
+    EXPECT_EQ(table.cell(3, 0), "64o");
+    // 32u is the default primary: its row is Figure 3's VLI average.
+    harness::ExperimentSuite suite(config);
+    const Table fig3 = suite.figure3();
+    EXPECT_EQ(table.cell(0, 2), fig3.cell(fig3.rowCount() - 1, 2));
+}
+
+TEST(Harness, SimpointAblationCentralRowIsTheDefault)
+{
+    const harness::ExperimentConfig config = quickConfig({"gzip"});
+    const std::vector<Table> tables = harness::simpointAblation(config);
+    ASSERT_EQ(tables.size(), 5u);
+    const Table& early = tables.back();
+    ASSERT_EQ(early.rowCount(), 2u);
+    EXPECT_EQ(early.cell(0, 0), "central (default)");
+    harness::ExperimentSuite suite(config);
+    const Table fig3 = suite.figure3();
+    const std::size_t avg = fig3.rowCount() - 1;
+    EXPECT_EQ(early.cell(0, 1), fig3.cell(avg, 1));  // FLI CPI error
+    EXPECT_EQ(early.cell(0, 2), fig3.cell(avg, 2));  // VLI CPI error
+}
+
+TEST(Harness, WarmingAblationRowsPerBinary)
+{
+    const Table table =
+        harness::warmingAblation(quickConfig({"gzip", "eon"}));
+    ASSERT_EQ(table.rowCount(), 8u);  // 4 binaries per workload
+    EXPECT_EQ(table.cell(0, 0), "gzip");
+    EXPECT_EQ(table.cell(3, 1), "64o");
+    EXPECT_EQ(table.cell(4, 0), "eon");
+}
+
+TEST(Harness, AgreementHasWorkloadRowsPlusAverage)
+{
+    const harness::ExperimentConfig config = quickConfig({"gzip", "eon"});
+    harness::ExperimentSuite suite(config);
+    const Table table = harness::phaseAgreement(suite);
+    ASSERT_EQ(table.rowCount(), 3u);
+    EXPECT_EQ(table.cell(0, 0), "gzip");
+    EXPECT_EQ(table.cell(1, 0), "eon");
+    EXPECT_EQ(table.cell(2, 0), "Avg");
+
+    // `xbsp report agreement` prints the same table.
+    std::ostringstream os;
+    table.print(os);
+    os << "\n";
+    EXPECT_EQ(harness::renderReport(config, {"agreement"}), os.str());
 }
 
 TEST(Harness, RenderReportUnknownFigureFatal)

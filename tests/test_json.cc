@@ -3,14 +3,16 @@
  * JsonWriter string-escaping tests — every byte sequence (control
  * characters, encoded lone surrogates, overlong encodings, stray
  * continuation bytes) must come out as valid UTF-8 *and* valid JSON —
- * plus parseJson() reader tests: documents round-trip through the
- * writer, malformed input fails with an offset-bearing error.
+ * plus tests of the test-side reader (json_reader.hh): documents
+ * round-trip through the writer, malformed input fails with an
+ * offset-bearing error.
  */
 
 #include <sstream>
 
 #include <gtest/gtest.h>
 
+#include "json_reader.hh"
 #include "util/json.hh"
 
 using namespace xbsp;

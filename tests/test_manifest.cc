@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include "json_reader.hh"
 #include "obs/manifest/manifest.hh"
 #include "obs/progress.hh"
 #include "obs/setup.hh"
@@ -23,7 +24,7 @@
 #include "sim/study.hh"
 #include "store/store.hh"
 #include "test_support.hh"
-#include "util/json.hh"
+#include "util/options.hh"
 #include "util/threadpool.hh"
 
 using namespace xbsp;
@@ -240,7 +241,12 @@ TEST_F(ManifestTest, ObsSessionFlushSurvivesUnwritablePaths)
     ::setenv("XBSP_MANIFEST", "/nonexistent-xbsp-dir/manifest.json",
              1);
     {
-        obs::ObsSession session;
+        // No flags given: the paths come from the environment.
+        Options options("test");
+        obs::addCliOptions(options);
+        const char* argv[] = {"test"};
+        ASSERT_TRUE(options.parse(1, argv));
+        obs::ObsSession session(options);
         EXPECT_NO_THROW(session.flush());
         EXPECT_NO_THROW(session.flush());  // idempotent
     }

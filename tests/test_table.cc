@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the ASCII table / CSV renderer.
+ * Unit tests for the ASCII table renderer.
  */
 
 #include <sstream>
@@ -53,24 +53,6 @@ TEST(Table, PrintAligned)
     EXPECT_NE(out.find("alpha"), std::string::npos);
     // Header separator line of dashes exists.
     EXPECT_NE(out.find("----"), std::string::npos);
-}
-
-TEST(Table, Csv)
-{
-    std::ostringstream os;
-    sample().printCsv(os);
-    EXPECT_EQ(os.str(),
-              "name,value,pct\nalpha,1.23,12.5%\nbeta,-42,100%\n");
-}
-
-TEST(Table, CsvEscaping)
-{
-    Table t("Esc", {"a"});
-    t.startRow();
-    t.addCell("has,comma and \"quote\"");
-    std::ostringstream os;
-    t.printCsv(os);
-    EXPECT_EQ(os.str(), "a\n\"has,comma and \"\"quote\"\"\"\n");
 }
 
 TEST(Table, OverflowPanics)

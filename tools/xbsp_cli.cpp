@@ -26,9 +26,6 @@
  *   xbsp cache stats|gc|clear         inspect / collect / wipe the
  *                                     artifact cache (--cache-dir or
  *                                     XBSP_CACHE_DIR)
- *   xbsp manifest  [file] [--json]    pretty-print a provenance
- *                                     manifest.json written by
- *                                     --manifest-out / --stats-out
  *   xbsp cores     [--workloads W,...] [--scale S]
  *                                     cross-microarchitecture
  *                                     experiment: the same binaries
@@ -37,11 +34,14 @@
  *                                     reporting per-binary CPI error
  *                                     and per-pair speedup error
  *                                     under each
- *   xbsp report    [figures...] [--workloads W,...]
+ *   xbsp report    [names...] [--workloads W,...]
  *                                     run the suite (default: all 21
  *                                     workloads) and print the named
  *                                     paper figures and tables
- *                                     (default figure3)
+ *                                     (default figure3) or ablations
+ *                                     (simpoint, primary, warming,
+ *                                     agreement; each defaults to its
+ *                                     own workload subset)
  *
  * Every command that runs pipeline stages honours --cache-dir (or the
  * XBSP_CACHE_DIR environment variable) to memoize compile, profile,
@@ -191,6 +191,21 @@ cmdSimpoints(const Options& options)
 int
 cmdStudy(const Options& options)
 {
+    // Open the per-binary region files before the study runs, so an
+    // unwritable --regions prefix fails before any simulation.
+    std::vector<std::string> regionPaths;
+    std::vector<std::ofstream> regionFiles;
+    if (const std::string prefix = options.getString("regions");
+        !prefix.empty()) {
+        for (const bin::Target& target : compile::standardTargets()) {
+            regionPaths.push_back(prefix + "." + bin::targetName(target) +
+                                  ".regions");
+            regionFiles.emplace_back(regionPaths.back());
+            if (!regionFiles.back())
+                fatal("cannot write '{}'", regionPaths.back());
+        }
+    }
+
     sim::StudyConfig config = harness::defaultStudyConfig();
     config.intervalTarget = options.getUint("interval");
     config.simpoint.maxK = static_cast<u32>(options.getUint("maxk"));
@@ -218,23 +233,20 @@ cmdStudy(const Options& options)
         }
     }
 
-    if (const std::string prefix = options.getString("regions");
-        !prefix.empty()) {
-        for (std::size_t b = 0; b < study.perBinary().size(); ++b) {
-            const auto& bs = study.perBinary()[b];
-            std::vector<double> weights;
-            for (const auto& phase : bs.vliEstimate.phases)
-                weights.push_back(phase.weight);
-            const auto specs = core::buildRegionSpecs(
-                study.mappable(), study.partition(),
-                study.vliClustering(), b, weights);
-            const std::string path =
-                prefix + "." + bin::targetName(bs.target) + ".regions";
-            writeFile(path, [&](std::ostream& os) {
-                core::writeRegionSpecs(os, specs);
-            });
-            inform("wrote {}", path);
-        }
+    // The study's binaries are the standard targets, in order.
+    for (std::size_t b = 0; b < regionFiles.size(); ++b) {
+        const auto& bs = study.perBinary()[b];
+        std::vector<double> weights;
+        for (const auto& phase : bs.vliEstimate.phases)
+            weights.push_back(phase.weight);
+        core::writeRegionSpecs(
+            regionFiles[b],
+            core::buildRegionSpecs(study.mappable(), study.partition(),
+                                   study.vliClustering(), b, weights));
+        regionFiles[b].close();
+        if (!regionFiles[b])
+            fatal("cannot write '{}'", regionPaths[b]);
+        inform("wrote {}", regionPaths[b]);
     }
     return 0;
 }
@@ -344,74 +356,6 @@ cmdCache(const Options& options)
           action);
 }
 
-int
-cmdManifest(const Options& options)
-{
-    const std::string path = options.positional().size() > 1
-                                 ? options.positional()[1]
-                                 : std::string("manifest.json");
-    JsonValue doc;
-    try {
-        doc = parseJsonFile(path);
-    } catch (const std::exception& e) {
-        fatal("cannot read manifest '{}': {}", path, e.what());
-    }
-
-    const JsonValue* runs = doc.find("runs");
-    if (!runs || !runs->isArray())
-        fatal("'{}' is not a manifest (no \"runs\" array)", path);
-
-    if (options.getBool("json")) {
-        // Machine-readable mode: round-trip the parsed document
-        // through the one canonical emitter (normalized whitespace,
-        // member order preserved).
-        JsonWriter w(std::cout);
-        writeJsonValue(w, doc);
-        std::cout << '\n';
-        return 0;
-    }
-
-    for (std::size_t r = 0; r < runs->size(); ++r) {
-        const JsonValue& run = runs->at(r);
-        std::printf("run %zu: %s  (config %s, %llu workers, "
-                    "%.1f ms)\n",
-                    r, run.at("label").asString().c_str(),
-                    run.at("configDigest").asString().empty()
-                        ? "-"
-                        : run.at("configDigest").asString().c_str(),
-                    static_cast<unsigned long long>(
-                        run.at("workers").asU64()),
-                    static_cast<double>(run.at("wallNanos").asU64()) /
-                        1e6);
-        std::printf("  %4s  %-9s %-8s %-5s %10s %10s %3s  %s\n",
-                    "node", "stage", "status", "probe", "wall-ms",
-                    "busy-ms", "w", "label");
-        const JsonValue& nodes = run.at("nodes");
-        for (std::size_t i = 0; i < nodes.size(); ++i) {
-            const JsonValue& node = nodes.at(i);
-            const std::string& key = node.at("storeKey").asString();
-            std::printf(
-                "  %4llu  %-9s %-8s %-5s %10.2f %10.2f %3llu  "
-                "%s%s%s\n",
-                static_cast<unsigned long long>(
-                    node.at("node").asU64()),
-                node.at("stage").asString().c_str(),
-                node.at("status").asString().c_str(),
-                node.at("probe").asString().c_str(),
-                static_cast<double>(node.at("wallNanos").asU64()) /
-                    1e6,
-                static_cast<double>(node.at("busyNanos").asU64()) /
-                    1e6,
-                static_cast<unsigned long long>(
-                    node.at("worker").asU64()),
-                node.at("label").asString().c_str(),
-                key.empty() ? "" : "  key=",
-                key.empty() ? "" : key.substr(0, 12).c_str());
-        }
-    }
-    return 0;
-}
-
 /** Split a comma-separated list, skipping empty segments. */
 std::vector<std::string>
 splitList(const std::string& text)
@@ -462,7 +406,7 @@ main(int argc, char** argv)
 {
     Options options(
         "xbsp <command> [options] — commands: list, describe, bbv, "
-        "simpoints, study, graph, cache, manifest, cores, report");
+        "simpoints, study, graph, cache, cores, report");
     options.addString("workload", "workload name", "swim");
     options.addString("target", "binary target (32u/32o/64u/64o)",
                       "32u");
@@ -489,12 +433,12 @@ main(int argc, char** argv)
                     "recomputation)", true);
     options.addUint("budget-mb", "byte budget for `cache gc`, in MiB",
                     1024);
-    options.addBool("json",
-                    "machine-readable output (`cache stats`, "
-                    "`manifest`)", false);
+    options.addBool("json", "machine-readable output (`cache stats`)",
+                    false);
     options.addString("workloads",
                       "comma-separated workload subset for `report` "
-                      "(empty = full suite) and `cores`", "");
+                      "and `cores` (empty = full suite, or an "
+                      "ablation's own subset)", "");
     options.addString("core",
                       "timing core: inorder|decoupled (default: "
                       "XBSP_CORE, else inorder; a model knob — "
@@ -503,12 +447,6 @@ main(int argc, char** argv)
     obs::addCliOptions(options);
     if (!options.parse(argc, argv))
         return 0;
-
-    // `manifest` reads another run's output and must not start an
-    // ObsSession of its own (it would overwrite that output).
-    if (!options.positional().empty() &&
-        options.positional()[0] == "manifest")
-        return cmdManifest(options);
 
     options.applyJobs();
 
